@@ -62,6 +62,8 @@ import sys
 import tempfile
 import time
 
+from baseline_gate import check_baseline
+
 #: Env forced per mode.  ``None`` means "remove": the child then runs
 #: the production defaults (fast seeds on, shm on, full memo).
 MODE_ENV = {
@@ -202,47 +204,34 @@ def _verify_round(summaries: dict) -> list[str]:
 def _check_baseline(
     report: dict, baseline_path: pathlib.Path, tolerance: float, mode: str
 ) -> int:
-    """Gate this run against the committed baseline JSON.
+    """Gate this run against the committed baseline JSON."""
+    if mode == "ratio":
+        label = "warm/baseline speedup"
+    else:
+        label = "warm wall seconds"
 
-    Returns 0 when within tolerance (or no baseline exists), 1 on a
-    regression beyond it.
-    """
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    try:
-        baseline = json.loads(baseline_path.read_text())
+    def compare(baseline):
         if mode == "ratio":
             measured = report["speedup_warm"]
             reference = float(baseline["speedup_warm"])
             ratio = measured / reference
-            label = "warm/baseline speedup"
         else:
             measured = report["modes"]["warm"]["best_wall_seconds"]
-            reference = float(
-                baseline["modes"]["warm"]["best_wall_seconds"]
-            )
+            reference = float(baseline["modes"]["warm"]["best_wall_seconds"])
             ratio = reference / measured  # lower wall is better
-            label = "warm wall seconds"
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"baseline {baseline_path} unreadable ({exc}); skipping check")
-        return 0
-    floor = 1.0 - tolerance
-    verdict = "OK" if ratio >= floor else "REGRESSION"
-    print(
-        f"{label}: {measured:,.3f} vs baseline {reference:,.3f} "
-        f"({ratio:.3f}x, floor {floor:.2f}x) ... {verdict}"
-    )
-    if ratio < floor:
-        print(
+        yield (
+            f"{label}: {measured:,.3f} vs baseline {reference:,.3f}", ratio
+        )
+
+    return check_baseline(
+        baseline_path, tolerance, compare,
+        lambda _n: (
             f"FAIL: grid {label} regressed more than {tolerance:.0%} vs "
             f"{baseline_path} in {mode} mode.  If the drop is expected and "
             "understood, regenerate the baseline; otherwise fix the fast "
-            "lane.  (--no-check skips this gate.)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            "lane.  (--no-check skips this gate.)"
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,12 +2,12 @@
 
 Runs the single most access-heavy cell of the paper grid — PageRank on
 MG-LRU over SSD at 50% capacity — and reports simulated page accesses
-(hits + faults) per wall-clock second in three configurations:
+(hits + faults) per wall-clock second in two configurations:
 
-- ``fast_on``   — vectorized fast path, tracing off (the production path);
-- ``trace_on``  — vectorized fast path with full trace capture attached,
-  measuring the observability subsystem's overhead side by side;
-- ``fast_off``  — scalar reference loop (skipped with ``--skip-slow``).
+- ``fast_on``   — tracing off (the production path; the key name is
+  kept so committed baselines stay comparable);
+- ``trace_on``  — full trace capture attached, measuring the
+  observability subsystem's overhead side by side.
 
 The ``fast_on`` number is also checked against the committed baseline
 JSON: a regression of more than ``--tolerance`` (default 5%) fails the
@@ -20,8 +20,7 @@ Writes ``benchmarks/output/BENCH_hotpath.json``.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--rounds N]
-        [--skip-slow] [--no-check] [--tolerance F] [--output PATH]
-        [--baseline PATH]
+        [--no-check] [--tolerance F] [--output PATH] [--baseline PATH]
 
 Not a pytest-benchmark module on purpose: the figure benchmarks measure
 *what* the simulator reproduces, this measures *how fast*, and CI wants
@@ -32,41 +31,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
 
+from baseline_gate import check_baseline
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
 from repro.trace.config import TraceConfig
 
 #: Seed-revision throughput of this cell (accesses/sec, measured on the
 #: pre-fast-path scalar loop) — the reference for the speedup ratio
-#: reported in the JSON.  Re-measure with ``--rounds`` + ``fast=off``
-#: on your own hardware for an apples-to-apples comparison there.
+#: reported in the JSON.
 SEED_BASELINE_ACC_PER_SEC = 753_745
 
 CELL = dict(workload="pagerank", policy="mglru", swap="ssd", ratio=0.5)
 SEED = 10_000
 
 
-def _one_trial(fast: bool, trace: bool = False) -> tuple[float, int]:
+def _one_trial(trace: bool = False) -> tuple[float, int]:
     """(wall seconds, simulated accesses) for one trial of the cell."""
     config = SystemConfig(
         policy=CELL["policy"], swap=CELL["swap"], capacity_ratio=CELL["ratio"]
     )
     trace_config = TraceConfig() if trace else None
     t0 = time.perf_counter()
-    prev = os.environ.get("REPRO_FAST_ACCESS")
-    os.environ["REPRO_FAST_ACCESS"] = "1" if fast else "0"
-    try:
-        trial = run_trial(CELL["workload"], config, SEED, trace=trace_config)
-    finally:
-        if prev is None:
-            del os.environ["REPRO_FAST_ACCESS"]
-        else:
-            os.environ["REPRO_FAST_ACCESS"] = prev
+    trial = run_trial(CELL["workload"], config, SEED, trace=trace_config)
     wall = time.perf_counter() - t0
     accesses = (
         trial.counters["hits"] + trial.major_faults + trial.minor_faults
@@ -74,11 +64,11 @@ def _one_trial(fast: bool, trace: bool = False) -> tuple[float, int]:
     return wall, accesses
 
 
-def _measure(fast: bool, rounds: int, trace: bool = False) -> dict:
+def _measure(rounds: int, trace: bool = False) -> dict:
     walls = []
     accesses = 0
     for _ in range(rounds):
-        wall, accesses = _one_trial(fast, trace=trace)
+        wall, accesses = _one_trial(trace=trace)
         walls.append(wall)
     best = min(walls)
     return {
@@ -93,40 +83,27 @@ def _measure(fast: bool, rounds: int, trace: bool = False) -> dict:
 def _check_baseline(
     report: dict, baseline_path: pathlib.Path, tolerance: float
 ) -> int:
-    """Compare the tracing-off number to the committed baseline.
-
-    Returns a process exit code: 0 when within tolerance (or no baseline
-    exists yet), 1 on a regression beyond it.
-    """
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    try:
-        baseline = json.loads(baseline_path.read_text())
-        reference = float(baseline["fast_on"]["accesses_per_sec"])
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"baseline {baseline_path} unreadable ({exc}); skipping check")
-        return 0
+    """Compare the tracing-off number to the committed baseline."""
     measured = report["fast_on"]["accesses_per_sec"]
-    ratio = measured / reference
-    floor = 1.0 - tolerance
-    verdict = "OK" if ratio >= floor else "REGRESSION"
-    print(
-        f"off-path check: {measured:,.0f} acc/s vs baseline "
-        f"{reference:,.0f} acc/s ({ratio:.3f}x, floor {floor:.2f}x) "
-        f"... {verdict}"
-    )
-    if ratio < floor:
-        print(
+
+    def compare(baseline):
+        reference = float(baseline["fast_on"]["accesses_per_sec"])
+        yield (
+            f"off-path check: {measured:,.0f} acc/s vs baseline "
+            f"{reference:,.0f} acc/s",
+            measured / reference,
+        )
+
+    return check_baseline(
+        baseline_path, tolerance, compare,
+        lambda _n: (
             "FAIL: tracing-off throughput regressed more than "
             f"{tolerance:.0%} vs {baseline_path} — the disabled-tracepoint "
             "path is supposed to be free.  If the drop is expected and "
             "understood, regenerate the baseline; otherwise fix the hot "
-            "path.  (--no-check skips this gate.)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            "path.  (--no-check skips this gate.)"
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,10 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rounds", type=int, default=3,
         help="trials per configuration; best wall time wins (default 3)",
-    )
-    parser.add_argument(
-        "--skip-slow", action="store_true",
-        help="skip the fast-path-off reference measurement",
     )
     parser.add_argument(
         "--no-check", action="store_true",
@@ -165,15 +138,15 @@ def main(argv: list[str] | None = None) -> int:
     # Warm-up trial: populates the module-level dataset/trace caches so
     # round 1 is not charged graph construction.
     print(f"cell: {CELL}, seed {SEED}; warming up...", flush=True)
-    _one_trial(fast=True)
+    _one_trial()
 
-    fast = _measure(fast=True, rounds=rounds)
+    fast = _measure(rounds)
     print(
         f"tracing OFF  : {fast['best_wall_seconds']:.3f}s best of {rounds}, "
         f"{fast['accesses_per_sec']:,.0f} acc/s",
         flush=True,
     )
-    traced = _measure(fast=True, rounds=rounds, trace=True)
+    traced = _measure(rounds, trace=True)
     print(
         f"tracing ON   : {traced['best_wall_seconds']:.3f}s best of "
         f"{rounds}, {traced['accesses_per_sec']:,.0f} acc/s "
@@ -201,17 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_check:
         check_rc = _check_baseline(report, baseline_path, args.tolerance)
 
-    if not args.skip_slow:
-        slow = _measure(fast=False, rounds=rounds)
-        print(
-            f"fast path OFF: {slow['best_wall_seconds']:.3f}s best of "
-            f"{rounds}, {slow['accesses_per_sec']:,.0f} acc/s",
-            flush=True,
-        )
-        report["fast_off"] = slow
-        report["speedup_vs_fast_off"] = (
-            fast["accesses_per_sec"] / slow["accesses_per_sec"]
-        )
     print(
         f"speedup vs seed baseline ({SEED_BASELINE_ACC_PER_SEC:,} acc/s): "
         f"{report['speedup_vs_seed_baseline']:.2f}x"

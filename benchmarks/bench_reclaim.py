@@ -2,13 +2,10 @@
 
 Runs the reclaim-dominated cells of the paper grid — PageRank at 50%
 capacity over both devices and both headline policies — and reports
-simulated accesses, faults and evictions per wall-clock second with the
-reclaim fast lane on (triage-block eviction, pooled swap writes, the
-event-engine fast path; the production configuration) and with every
-fast kernel switched to its scalar reference (``fast_off``).  Both
-configurations simulate bit-identical trials (pinned by
-``tests/core/test_reclaim_equivalence.py``), so the ratio between them
-is pure mechanical speedup.
+simulated accesses, faults and evictions per wall-clock second on the
+reclaim fast lane (triage-block eviction, pooled swap writes, the
+event-engine fast path), under the ``fast_on`` key that committed
+baselines use.
 
 Each cell also carries the pre-fast-lane revision's recorded numbers
 (:data:`PRE_PR_BASELINE`, measured on the same reference box) so the
@@ -29,9 +26,11 @@ Regression gate: the committed ``BENCH_reclaim.json`` is the baseline.
   accesses/second against the baseline's; a drop beyond ``--tolerance``
   (default 5%) fails the run.  Use on hardware comparable to the
   baseline's.
-- ``--check-mode ratio`` compares each cell's fast-vs-scalar *speedup
-  ratio* instead.  Wall-clock noise and machine speed cancel out of the
-  ratio, so this is the gate CI runs on shared hardware.
+- ``--check-mode ratio`` skips the absolute comparison and gates only
+  the in-run observer ratios above (``metrics_overhead_x`` at
+  ``1 + --tolerance``, ``spans_overhead_x`` at ``--max-spans-x``).
+  Machine speed cancels out of them, so this is the gate CI runs on
+  shared hardware.
 
 Pass ``--no-check`` to skip the gate entirely.
 
@@ -48,11 +47,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
 
+from baseline_gate import check_baseline
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
 from repro.metrics import MetricsConfig
@@ -82,39 +81,26 @@ PRE_PR_BASELINE = {
     "mglru/zram": {"wall_seconds": 1.4386, "acc_per_sec": 1_987_156},
 }
 
-#: The toggles the fast lane hangs off; all-on is the production path.
-FAST_TOGGLES = ("REPRO_FAST_ACCESS", "REPRO_FAST_RECLAIM", "REPRO_FAST_ENGINE")
-
 
 def _cell_key(cell: dict) -> str:
     return f"{cell['policy']}/{cell['swap']}"
 
 
 def _one_trial(
-    cell: dict, fast: bool, metrics: bool = False, spans: bool = False
+    cell: dict, metrics: bool = False, spans: bool = False
 ) -> tuple[float, dict]:
     """(wall seconds, raw counters) for one trial of *cell*."""
     config = SystemConfig(
         policy=cell["policy"], swap=cell["swap"], capacity_ratio=RATIO
     )
-    previous = {name: os.environ.get(name) for name in FAST_TOGGLES}
-    for name in FAST_TOGGLES:
-        os.environ[name] = "1" if fast else "0"
     t0 = time.perf_counter()
-    try:
-        trial = run_trial(
-            WORKLOAD,
-            config,
-            SEED,
-            metrics=MetricsConfig() if metrics else None,
-            spans=SpansConfig() if spans else None,
-        )
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+    trial = run_trial(
+        WORKLOAD,
+        config,
+        SEED,
+        metrics=MetricsConfig() if metrics else None,
+        spans=SpansConfig() if spans else None,
+    )
     wall = time.perf_counter() - t0
     counters = {
         "accesses": (
@@ -126,19 +112,18 @@ def _one_trial(
     return wall, counters
 
 
-#: Configuration key → (fast, metrics, spans) flags for :func:`_one_trial`.
+#: Configuration key → (metrics, spans) flags for :func:`_one_trial`.
 _CONFIGS = {
-    "fast_on": (True, False, False),
-    "fast_off": (False, False, False),
-    "metrics_on": (True, True, False),
-    "spans_on": (True, False, True),
+    "fast_on": (False, False),
+    "metrics_on": (True, False),
+    "spans_on": (False, True),
 }
 
 
 def _measure_cell(cell: dict, rounds: int) -> dict:
     """Best-of-*rounds* wall time for every configuration of *cell*.
 
-    The configurations are interleaved within each round (fast, scalar,
+    The configurations are interleaved within each round (plain,
     metered, spanned back to back) so slow drift of the host — thermal
     throttle, noisy neighbours — lands on all of them roughly equally
     and cancels out of the ratios, instead of charging whichever
@@ -147,9 +132,9 @@ def _measure_cell(cell: dict, rounds: int) -> dict:
     walls: dict = {key: [] for key in _CONFIGS}
     counters: dict = {}
     for _ in range(rounds):
-        for key, (fast, metrics, spans) in _CONFIGS.items():
+        for key, (metrics, spans) in _CONFIGS.items():
             wall, counters[key] = _one_trial(
-                cell, fast, metrics=metrics, spans=spans
+                cell, metrics=metrics, spans=spans
             )
             walls[key].append(wall)
     out = {}
@@ -169,59 +154,38 @@ def _measure_cell(cell: dict, rounds: int) -> dict:
 
 
 def _check_baseline(
-    report: dict, baseline_path: pathlib.Path, tolerance: float, mode: str
+    report: dict, baseline_path: pathlib.Path, tolerance: float
 ) -> int:
-    """Gate this run against the committed baseline JSON.
+    """Gate each cell's ``fast_on`` acc/s against the committed
+    baseline's."""
 
-    Returns a process exit code: 0 when every cell is within tolerance
-    (or no baseline exists yet), 1 on any regression beyond it.
-    """
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    try:
-        baseline = json.loads(baseline_path.read_text())
+    def compare(baseline):
         base_cells = baseline["cells"]
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"baseline {baseline_path} unreadable ({exc}); skipping check")
-        return 0
-    floor = 1.0 - tolerance
-    failures = 0
-    for key, cell in report["cells"].items():
-        base = base_cells.get(key)
-        if base is None:
-            print(f"{key}: not in baseline; skipping")
-            continue
-        try:
-            if mode == "ratio":
-                measured = cell["speedup_vs_fast_off"]
-                reference = float(base["speedup_vs_fast_off"])
-                label = "fast/scalar speedup"
-            else:
-                measured = cell["fast_on"]["acc_per_sec"]
+        for key, cell in report["cells"].items():
+            base = base_cells.get(key)
+            if base is None:
+                print(f"{key}: not in baseline; skipping")
+                continue
+            try:
                 reference = float(base["fast_on"]["acc_per_sec"])
-                label = "acc/s"
-        except (KeyError, TypeError) as exc:
-            print(f"{key}: baseline missing field ({exc}); skipping")
-            continue
-        ratio = measured / reference
-        verdict = "OK" if ratio >= floor else "REGRESSION"
-        print(
-            f"{key}: {measured:,.2f} vs baseline {reference:,.2f} {label} "
-            f"({ratio:.3f}x, floor {floor:.2f}x) ... {verdict}"
-        )
-        if ratio < floor:
-            failures += 1
-    if failures:
-        print(
+            except (KeyError, TypeError) as exc:
+                print(f"{key}: baseline missing field ({exc}); skipping")
+                continue
+            measured = cell["fast_on"]["acc_per_sec"]
+            yield (
+                f"{key}: {measured:,.2f} vs baseline {reference:,.2f} acc/s",
+                measured / reference,
+            )
+
+    return check_baseline(
+        baseline_path, tolerance, compare,
+        lambda failures: (
             f"FAIL: {failures} cell(s) regressed more than {tolerance:.0%} "
-            f"vs {baseline_path} in {mode} mode.  If the drop is expected "
+            f"vs {baseline_path} in absolute mode.  If the drop is expected "
             "and understood, regenerate the baseline; otherwise fix the "
-            "reclaim path.  (--no-check skips this gate.)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            "reclaim path.  (--no-check skips this gate.)"
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -237,8 +201,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check-mode", choices=("absolute", "ratio"), default="absolute",
-        help="gate on absolute acc/s (default) or on the fast/scalar "
-        "speedup ratio (hardware-independent; use in CI)",
+        help="gate on absolute acc/s (default) or only on the in-run "
+        "observer overhead ratios (hardware-independent; use in CI)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.05,
@@ -273,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         f"workload {WORKLOAD}@{RATIO:.0%}, seed {SEED}; warming up...",
         flush=True,
     )
-    _one_trial(CELLS[0], fast=True)
+    _one_trial(CELLS[0])
 
     cells: dict = {}
     metrics_failures = 0
@@ -281,10 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         key = _cell_key(cell)
         measured = _measure_cell(cell, rounds)
         fast = measured["fast_on"]
-        slow = measured["fast_off"]
         metered = measured["metrics_on"]
         spanned = measured["spans_on"]
-        speedup = fast["acc_per_sec"] / slow["acc_per_sec"]
         # Pair each round's metered wall with the fast wall measured
         # seconds earlier in the same round and take the cleanest round:
         # host noise within a round is far smaller than across rounds,
@@ -304,10 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         entry = {
             "fast_on": fast,
-            "fast_off": slow,
             "metrics_on": metered,
             "spans_on": spanned,
-            "speedup_vs_fast_off": speedup,
             "metrics_overhead_x": overhead,
             "spans_overhead_x": spans_overhead,
         }
@@ -322,8 +282,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{key:<11}: fast {fast['best_wall_seconds']:.3f}s "
             f"({fast['acc_per_sec']:,.0f} acc/s, "
             f"{fast['evictions_per_sec']:,.0f} evict/s), "
-            f"scalar {slow['best_wall_seconds']:.3f}s, "
-            f"{speedup:.2f}x, metrics {overhead:.3f}x, "
+            f"metrics {overhead:.3f}x, "
             f"spans {spans_overhead:.3f}x"
         )
         if pre is not None:
@@ -358,9 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     # it must run before the report overwrites that file.
     check_rc = 0
     if not args.no_check:
-        check_rc = _check_baseline(
-            report, baseline_path, args.tolerance, args.check_mode
-        )
+        if args.check_mode == "absolute":
+            check_rc = _check_baseline(report, baseline_path, args.tolerance)
+        else:
+            print("ratio mode: gating the in-run observer overhead ratios only")
         if metrics_failures:
             print(
                 f"FAIL: observer overhead beyond {args.tolerance:.0%} in "

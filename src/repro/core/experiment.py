@@ -152,6 +152,7 @@ def run_trial(
             mx_session.detach()
         if recorder is not None:
             recorder.detach()
+        system.address_space.page_table.release_flat()
 
     stats = system.stats
     stats.rmap_walks = system.rmap.walk_count

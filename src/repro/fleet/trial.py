@@ -97,8 +97,7 @@ LANE_STATS = _LaneStats()
 def fast_fleet_enabled() -> bool:
     """The ``REPRO_FAST_FLEET`` env knob (on by default).
 
-    Same contract as ``REPRO_FAST_{ACCESS,RECLAIM,ENGINE}``: both lanes
-    emit identical command streams, so rows and reports are
+    Both lanes emit identical command streams, so rows and reports are
     byte-identical either way; the toggle exists for A/B verification.
     """
     return os.environ.get("REPRO_FAST_FLEET", "1") != "0"
@@ -432,9 +431,9 @@ def _tenant_body_fast(
     - **quantum budget**: how many requests fit before ``pending_ns``
       reaches the compute quantum (the scalar lane's flush-after check).
 
-    The run's accessed/dirty bits are three batched
-    ``policy.on_batch_access`` stores (one hook call per segment rather
-    than two per request), hit counters and latencies/SLO checks are
+    The run's accessed/dirty bits are batched fancy-indexed stores into
+    the flat PTE state (per segment rather than two per request), hit
+    counters and latencies/SLO checks are
     vectorized (``Histogram.observe_many`` bins identically to scalar
     ``observe``), and only the faulting residue drops into the event
     engine through the same scalar fault path the reference lane uses.
@@ -457,7 +456,6 @@ def _tenant_body_fast(
     accessed = flat.accessed
     dirty = flat.dirty
     pages = flat.pages
-    on_batch = system.policy.on_batch_access
     quantum = system.compute_quantum_ns
     overhead = system.costs.fault_overhead_ns
     c = shape.request_compute_ns
@@ -655,13 +653,10 @@ def _tenant_body_fast(
             if k > 0:
                 seg_i = iidx[pos : pos + k]
                 run_t = tidx[pos : pos + k]
-                on_batch(flat, seg_i, False)
+                accessed[seg_i] = True
+                accessed[run_t] = True
                 if any_write:
-                    wm = write_mask[pos : pos + k]
-                    on_batch(flat, run_t[~wm], False)
-                    on_batch(flat, run_t[wm], True)
-                else:
-                    on_batch(flat, run_t, False)
+                    dirty[run_t[write_mask[pos : pos + k]]] = True
                 stats.hits += 2 * k
                 pending_ns += k * c
                 if k <= 16:
@@ -1007,7 +1002,10 @@ def run_fleet_trial(
             )
 
     system.start()
-    runtime_ns = engine.run()
+    try:
+        runtime_ns = engine.run()
+    finally:
+        system.address_space.page_table.release_flat()
     audit_usage(system)  # ledger invariant: sum(usage) == frames used
     if tracker is not None:
         tracker.finalize(runtime_ns)
@@ -1153,7 +1151,10 @@ def run_memcg_trial(
     cg.adopt(system.address_space)
     system.start()
     workload.spawn(system)
-    runtime_ns = engine.run()
+    try:
+        runtime_ns = engine.run()
+    finally:
+        system.address_space.page_table.release_flat()
     audit_usage(system)
     stats = system.stats
     stats.rmap_walks = system.rmap.walk_count

@@ -7,13 +7,8 @@ per-cgroup lruvec) and routes every notification by page ownership:
 
 - ``on_page_inserted`` / ``make_shadow`` dispatch to
   ``page.memcg.policy`` — the page's own lruvec sees exactly the calls
-  it would see running standalone;
-- ``on_batch_access`` is two fancy-indexed PTE-bit stores.  Every
-  registered policy's batched access hook is exactly that (their
-  ordering work happens at scan/fault time), so the root needs no
-  per-cgroup fan-out on the access hot path.  A future policy whose
-  batch hook does more than set PTE bits must not be run under memcg
-  without extending this root.
+  it would see running standalone (hits never reach a policy: the
+  access paths set PTE bits, which the lruvecs read at scan time);
 - ``reclaim`` delegates *verbatim* to the single lruvec when only one
   cgroup exists (the solo-tenant bit-identity case), and otherwise runs
   the proportional global reclaimer below.
@@ -146,20 +141,6 @@ class MemcgPolicy(ReplacementPolicy):
                 "MemcgPolicy (map the area with memcg= or adopt() it)"
             )
         cg.policy.on_page_inserted(page, shadow)
-
-    def on_batch_access(self, flat, idx, write: bool) -> None:
-        # Every per-cgroup policy's batched bookkeeping is exactly the
-        # PTE-bit stores (see module docstring), so one pair of
-        # fancy-indexed writes covers all lruvecs at once.
-        flat.accessed[idx] = True
-        if write:
-            flat.dirty[idx] = True
-
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
 
     def make_shadow(self, page: "Page") -> ShadowEntry:
         return page.memcg.policy.make_shadow(page)

@@ -32,9 +32,7 @@ class StackedPTEBits:
     one of these per cell; trial *s* of the cell then uses row *s* as
     the authoritative storage behind its :class:`PTEFlatState` — scalar
     ``Page`` property reads/writes and the vectorized access path all
-    land in the stacked arrays, and policies whose access bookkeeping is
-    pure PTE bits update the 2-D arrays directly through
-    ``on_batch_access_stacked``.
+    land in the stacked arrays.
     """
 
     __slots__ = ("present", "accessed", "dirty")
@@ -69,6 +67,9 @@ class PTEFlatState:
     ``run_starts``/``run_lens``/``run_base`` describe the maximal runs
     of contiguous VPNs, so vpn→index translation is one ``searchsorted``
     per access batch instead of one dict lookup per page.
+
+    In a seed-major cell the bit arrays are views of one row of the
+    cell's :class:`StackedPTEBits`.
     """
 
     __slots__ = (
@@ -80,8 +81,6 @@ class PTEFlatState:
         "run_starts",
         "run_lens",
         "run_base",
-        "stack",
-        "stack_row",
         "_memo",
     )
 
@@ -95,8 +94,6 @@ class PTEFlatState:
         run_starts: np.ndarray,
         run_lens: np.ndarray,
         run_base: np.ndarray,
-        stack: Optional[StackedPTEBits] = None,
-        stack_row: int = 0,
     ) -> None:
         self.pages = pages
         self.vpns = vpns
@@ -106,11 +103,6 @@ class PTEFlatState:
         self.run_starts = run_starts
         self.run_lens = run_lens
         self.run_base = run_base
-        #: When this flat state is one seed row of a seed-major cell,
-        #: ``stack`` is the cell's :class:`StackedPTEBits` and the bit
-        #: arrays above are views of ``stack.*[stack_row]``.
-        self.stack = stack
-        self.stack_row = stack_row
         #: id(trace) → (weakref, indices): workloads replay the same
         #: trace arrays every iteration, so translation is memoized.  The
         #: weakref guards against id reuse after deallocation; traces
@@ -118,12 +110,9 @@ class PTEFlatState:
         self._memo: dict = {}
 
     def translate(self, vpns: np.ndarray) -> Optional[np.ndarray]:
-        """Flat indices for *vpns*, or ``None`` if any VPN is unmapped.
-
-        ``None`` sends the caller down the scalar slow path, which
-        reproduces the exact prefix-processing and error semantics of a
-        faulting lookup.
-        """
+        """Flat indices for *vpns*, or ``None`` if any VPN is unmapped
+        (callers then look the VPNs up one by one to name the first
+        unmapped one in their error)."""
         if vpns.size == 0:
             return vpns.astype(np.intp)
         key = id(vpns)
@@ -314,7 +303,6 @@ class PageTable:
         flat = PTEFlatState(
             pages, vpns, present, accessed, dirty,
             run_starts, run_lens, run_base,
-            stack=stack, stack_row=self._stack_row,
         )
         for i, page in enumerate(page_list):
             page._flat = flat
@@ -324,6 +312,20 @@ class PageTable:
         if _tp.mm_pte_flat_rebuild is not None:
             _tp.mm_pte_flat_rebuild(n, int(run_base.shape[0]))
         return flat
+
+    def release_flat(self) -> None:
+        """Drop the flat view's page array (call when the trial ends).
+
+        Every built page points at its flat state, and the flat state's
+        ``pages`` object array points back.  The cycle collector cannot
+        see into numpy object arrays, so without this the whole page
+        table stays alive after its trial.  A later :meth:`flat_view`
+        rebuilds from the pages' current bits.
+        """
+        flat = self._flat
+        if flat is not None:
+            flat.pages = None
+            self._flat = None
 
     # ------------------------------------------------------------------
     # Lookup and iteration

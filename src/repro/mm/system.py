@@ -2,13 +2,11 @@
 
 :class:`MemorySystem` wires together one CPU, a frame allocator, an
 address space, the reverse map, swap-slot bookkeeping, a swap device,
-and a replacement policy, and provides the two generators application
-threads drive:
-
-- :meth:`access_run` — the batched hot path: touch a sequence of VPNs,
-  accumulating compute and faulting as needed;
-- :meth:`access` — a single access (used for request-level latency
-  measurements, e.g. YCSB).
+and a replacement policy, and provides the generator application
+threads drive: :meth:`access_run`, the batched hot path that touches a
+sequence of VPNs, accumulating compute and faulting as needed.  Scalar
+request paths (YCSB, the fleet) look pages up themselves and call
+:meth:`handle_fault` on a miss.
 
 It also owns the kswapd background-reclaim daemon and the eviction
 mechanics (:meth:`evict_page`) that policies call from their reclaim
@@ -23,13 +21,12 @@ what the paper's read/write tail-latency splits come from.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro._units import US
-from repro.errors import ConfigError, OutOfMemoryError
+from repro.errors import ConfigError, OutOfMemoryError, SimulationError
 from repro.mm.address_space import AddressSpace
 from repro.mm.costs import CostModel
 from repro.mm.frame_allocator import FrameAllocator
@@ -70,8 +67,6 @@ class MemorySystem:
         costs: CostModel = CostModel(),
         swap_slots: Optional[int] = None,
         compute_quantum_ns: int = 64 * US,
-        fast_access: Optional[bool] = None,
-        fast_reclaim: Optional[bool] = None,
     ) -> None:
         if capacity_frames < 16:
             raise ConfigError("need at least 16 frames of capacity")
@@ -93,21 +88,6 @@ class MemorySystem:
         self.policy = policy
         self.stats = MMStats()
         self.compute_quantum_ns = compute_quantum_ns
-        #: Vectorized resident-access fast path.  On by default; set the
-        #: ``REPRO_FAST_ACCESS=0`` env var (or pass ``fast_access=False``)
-        #: to force the scalar reference path.  Both produce bit-identical
-        #: simulations — the toggle exists for A/B verification.
-        if fast_access is None:
-            fast_access = os.environ.get("REPRO_FAST_ACCESS", "1") != "0"
-        self.fast_access = bool(fast_access)
-        #: Vectorized reclaim triage / swap-batch kernels (the reclaim
-        #: fast lane).  Same contract as ``fast_access``: both settings
-        #: compute identical values in identical RNG order, so the
-        #: simulation is bit-identical either way; ``REPRO_FAST_RECLAIM=0``
-        #: forces the scalar reference kernels for A/B verification.
-        if fast_reclaim is None:
-            fast_reclaim = os.environ.get("REPRO_FAST_RECLAIM", "1") != "0"
-        self.fast_reclaim = bool(fast_reclaim)
 
         self._kswapd_waker = Waker("kswapd")
         self._inflight_faults: Dict[Page, OneShotEvent] = {}
@@ -188,68 +168,26 @@ class MemorySystem:
         daemon threads can interleave); a miss flushes pending compute
         and runs the fault path.  This is the simulator's hot loop.
 
-        VPN arrays take the vectorized fast path: presence is tested and
-        accessed/dirty bits are set per quantum-sized chunk with numpy
-        operations on the page table's flat PTE state, falling back to
-        the scalar reference loop below at the first non-resident page.
-        The two paths emit the *same* command stream at the same
-        simulated instants, so results are bit-identical either way.
+        Presence is tested and accessed/dirty bits are set per
+        quantum-sized chunk with numpy operations on the page table's
+        flat PTE state.  Non-array input is converted with
+        ``np.asarray``; an unmapped VPN raises :class:`SimulationError`
+        before any access is made.
         """
-        if (
-            self.fast_access
-            and compute_ns_per_access >= 0
-            and isinstance(vpns, np.ndarray)
-        ):
-            flat = self.address_space.page_table.flat_view()
-            idx = flat.translate(vpns)
-            if idx is not None:
-                return self._access_run_fast(
-                    flat, idx, write, compute_ns_per_access
-                )
-            # Some VPN is unmapped: the scalar loop reproduces the exact
-            # prefix-processing-then-raise semantics.
-        return self._access_run_slow(vpns, write, compute_ns_per_access)
+        if compute_ns_per_access < 0:
+            raise SimulationError(
+                f"negative compute per access: {compute_ns_per_access} ns"
+            )
+        vpns = np.asarray(vpns)
+        flat = self.address_space.page_table.flat_view()
+        idx = flat.translate(vpns)
+        if idx is None:
+            lookup = self.address_space.page_table.lookup
+            for vpn in vpns.tolist():
+                lookup(vpn)  # raises, naming the first unmapped VPN
+        return self._access_run(flat, idx, write, compute_ns_per_access)
 
-    def _access_run_slow(
-        self,
-        vpns: Sequence[int],
-        write: bool,
-        compute_ns_per_access: int,
-    ) -> Iterator[Any]:
-        """Scalar reference implementation (pre-vectorization hot loop)."""
-        lookup = self.address_space.page_table.lookup
-        quantum = self.compute_quantum_ns
-        stats = self.stats
-        overhead = self.costs.fault_overhead_ns
-        pending = 0
-        hits = 0
-        if isinstance(vpns, np.ndarray):
-            # Plain ints hash ~2x faster than numpy scalars in the dict
-            # lookups below.
-            vpns = vpns.tolist()
-        for vpn in vpns:
-            page = lookup(vpn)
-            pending += compute_ns_per_access
-            if page.present:
-                hits += 1
-                page.accessed = True
-                if write:
-                    page.dirty = True
-                if pending >= quantum:
-                    yield Compute(pending)
-                    pending = 0
-                continue
-            # One Compute covers the flushed pending work plus the trap
-            # overhead of the fault that interrupted it — the separate
-            # overhead event inside handle_fault gained nothing.
-            yield Compute(pending + overhead)
-            pending = 0
-            yield from self.handle_fault(page, write, charge_overhead=False)
-        stats.hits += hits
-        if pending:
-            yield Compute(pending)
-
-    def _access_run_fast(
+    def _access_run(
         self,
         flat: Any,
         idx: np.ndarray,
@@ -258,12 +196,15 @@ class MemorySystem:
     ) -> Iterator[Any]:
         """Vectorized access loop over flat PTE indices *idx*.
 
-        Equivalence argument: the scalar loop yields nothing between two
-        consecutive accesses unless it flushes pending compute (every
-        ``chunk = ceil(quantum/c)`` hits) or faults, so presence cannot
-        change *within* a chunk; testing presence for a whole chunk
-        up-front, batching the bit stores, and emitting one ``Compute``
-        per chunk reproduces the scalar command stream exactly:
+        Per-access semantics: each access adds ``c`` to pending compute;
+        a resident page sets its accessed (and, on writes, dirty) bit and
+        flushes pending compute once it reaches the quantum; a miss
+        flushes pending compute plus the fault's trap overhead, then
+        faults.  Nothing yields between two consecutive accesses unless
+        a flush or a fault does (every ``chunk = ceil(quantum/c)`` hits),
+        so presence cannot change *within* a chunk; testing presence for
+        a whole chunk up-front, batching the bit stores, and emitting one
+        ``Compute`` per chunk gives exactly that command stream:
 
         - a full chunk of hits accrues ``chunk*c >= quantum`` pending and
           flushes at its last access → one ``Compute(chunk*c)``;
@@ -272,24 +213,19 @@ class MemorySystem:
           ``Compute((k+1)*c + overhead)``, then the fault;
         - a trace ending mid-chunk leaves ``k*c < quantum`` pending for
           the trailing flush.
+
+        The hit stores go straight to the PTE bits: every policy reads
+        them at scan time, as the kernel's policies read the hardware
+        accessed bit.  In a seed-major cell the bit arrays are views of
+        the cell's stacked rows, so the same stores land there.
         """
         stats = self.stats
         quantum = self.compute_quantum_ns
         overhead = self.costs.fault_overhead_ns
-        stack = flat.stack
-        if stack is None:
-            on_batch = self.policy.on_batch_access
-        else:
-            # Seed-major cell: route batch hits through the stacked hook
-            # so policies store PTE bits along the leading seed axis.
-            row = flat.stack_row
-            on_batch_stacked = self.policy.on_batch_access_stacked
-
-            def on_batch(f, seg_idx, wr):
-                on_batch_stacked(stack, row, f, seg_idx, wr)
-
         handle_fault = self.handle_fault
         present = flat.present
+        accessed = flat.accessed
+        dirty = flat.dirty
         pages = flat.pages
         n = idx.shape[0]
         chunk = n if c == 0 else -(-quantum // c)  # ceil(quantum / c)
@@ -306,7 +242,9 @@ class MemorySystem:
             if pres[k]:
                 # Whole segment resident.
                 k = lim - pos
-                on_batch(flat, seg, write)
+                accessed[seg] = True
+                if write:
+                    dirty[seg] = True
                 hits += k
                 pos = lim
                 if c:
@@ -317,7 +255,10 @@ class MemorySystem:
                 continue
             # Miss at seg[k]; the k leading pages are resident hits.
             if k:
-                on_batch(flat, seg[:k], write)
+                run = seg[:k]
+                accessed[run] = True
+                if write:
+                    dirty[run] = True
                 hits += k
                 pos += k
             yield Compute(k * c + c + overhead)
@@ -326,17 +267,6 @@ class MemorySystem:
         stats.hits += hits
         if tail_pending:
             yield Compute(tail_pending)
-
-    def access(self, vpn: int, write: bool = False) -> Iterator[Any]:
-        """Touch a single VPN (request-latency measurement path)."""
-        page = self.address_space.page_table.lookup(vpn)
-        if page.present:
-            self.stats.hits += 1
-            page.accessed = True
-            if write:
-                page.dirty = True
-            return
-        yield from self.handle_fault(page, write)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -661,27 +591,17 @@ class MemorySystem:
         aborted = []
         drops: list[Page] = []
         writes: list[tuple[Page, bool]] = []
-        # Snapshot the block's PTE bits in one pass when the fast lane
-        # is on: processing one page never touches another page's bits,
-        # so the bulk reads see exactly the values the serial property
-        # reads would.  Bit *clears* for write pages are batched below.
-        flat = None
-        if self.fast_reclaim and len(pages) > 1:
-            flat = self.address_space.page_table.flat_view()
-            pidx = np.fromiter(
-                (p._flat_idx for p in pages), np.intp, count=len(pages)
-            )
-            assert flat.present[pidx].all(), "evicting a non-resident page"
-            flags = zip(
-                flat.accessed[pidx].tolist(), flat.dirty[pidx].tolist()
-            )
-        else:
-            flags = ((p.accessed, p.dirty) for p in pages)
-        write_idx: list[int] = []
-        for pos, (page, (young, was_dirty)) in enumerate(zip(pages, flags)):
-            if flat is None:
-                assert page.present, "evicting a non-resident page"
-            if recheck_accessed and young:
+        # Per-page reads and clears straight on the flat PTE arrays:
+        # most blocks hold a handful of pages, where numpy fancy
+        # indexing costs more than it saves.
+        flat = self.address_space.page_table.flat_view()
+        accessed = flat.accessed
+        dirty = flat.dirty
+        for page in pages:
+            assert page.present, "evicting a non-resident page"
+            i = page._flat_idx
+            was_dirty = bool(dirty[i])
+            if recheck_accessed and accessed[i]:
                 self.stats.extra["aborted_evictions"] = (
                     self.stats.extra.get("aborted_evictions", 0) + 1
                 )
@@ -696,11 +616,8 @@ class MemorySystem:
                 # Clear both PTE bits before writeback starts (as the
                 # kernel does) so a racing access during the device
                 # write is caught by the re-check below.
-                if flat is None:
-                    page.accessed = False
-                    page.dirty = False
-                else:
-                    write_idx.append(pos)
+                accessed[i] = False
+                dirty[i] = False
             else:
                 # Clean page with a valid swap copy: free drop, no I/O.
                 self.swap.set_shadow(page, self.policy.make_shadow(page))
@@ -718,12 +635,6 @@ class MemorySystem:
                 dt = self.engine.now - t0
                 for page in drops:
                     tp_evict(page.vpn, dt, 0)
-        if flat is not None and write_idx:
-            # Batched form of the per-page clears above — same instant
-            # (no yields since the snapshot), same resulting bits.
-            sel = pidx[write_idx]
-            flat.accessed[sel] = False
-            flat.dirty[sel] = False
         if writes:
             finished: list[Page] = []
             self._evictions_in_flight += len(writes)
@@ -738,7 +649,7 @@ class MemorySystem:
                 spans.seg_begin("evict_writeback")
             try:
                 yield from self.swap_device.write_batch(
-                    [p for p, _ in writes], fast=self.fast_reclaim
+                    [p for p, _ in writes]
                 )
             finally:
                 if spans is not None:

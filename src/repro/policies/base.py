@@ -7,6 +7,10 @@ the fault path, and eviction mechanics.  The contract:
 - the system calls :meth:`bind` once, then :meth:`spawn_daemons`;
 - on every fault that makes a page resident, the system calls
   :meth:`on_page_inserted` (with the shadow entry if it was a refault);
+- hits never reach the policy: the access paths set the page's PTE
+  accessed (and dirty) bits, and the policy reads them at scan time,
+  as the kernel's Clock and MG-LRU read the hardware accessed bit
+  during rmap walks and page-table scans;
 - reclaim contexts (kswapd or direct) drive :meth:`reclaim`, a
   *generator* so the policy can charge scan costs (``yield Compute``)
   and block on writeback (``yield from system.evict_page(page)``);
@@ -23,14 +27,11 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
 from repro.metrics import hooks as _mx
 from repro.mm.swap_cache import ShadowEntry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.mm.page import Page
-    from repro.mm.page_table import PTEFlatState
     from repro.mm.system import MemorySystem
 
 
@@ -73,47 +74,6 @@ class ReplacementPolicy(abc.ABC):
     ) -> None:
         """A page became resident (first touch or swap-in refault)."""
 
-    def on_batch_access(
-        self, flat: "PTEFlatState", idx: "Any", write: bool
-    ) -> None:
-        """A run of *resident* pages (flat indices *idx*, VPN order) was
-        accessed by the vectorized fast path.
-
-        Must be equivalent to setting ``page.accessed = True`` (and
-        ``page.dirty`` on writes) for each page in order.  The default
-        loops over the pages; policies whose access bookkeeping is just
-        the PTE bits override with plain numpy writes.
-
-        Two fast lanes feed this hook: the single-process resident-run
-        path (``REPRO_FAST_ACCESS``) and the fleet serving lane
-        (``REPRO_FAST_FLEET``), where it arrives via
-        :class:`~repro.memcg.policy.MemcgPolicy` with a tenant's
-        index- and item-page runs — *idx* may then repeat indices
-        within one call (many keys, one hot page), which is
-        indistinguishable from repeated scalar accesses for PTE-bit
-        bookkeeping and must stay so for any override.
-        """
-        for page in flat.pages[idx]:
-            page.accessed = True
-            if write:
-                page.dirty = True
-
-    def on_batch_access_stacked(
-        self, stack: "Any", row: int, flat: "PTEFlatState", idx: "Any",
-        write: bool,
-    ) -> None:
-        """Seed-major form of :meth:`on_batch_access`: the accessed run
-        belongs to seed *row* of a cell whose PTE bits live in the
-        ``(n_seeds, n_pages)`` arrays of *stack* (a
-        :class:`~repro.mm.page_table.StackedPTEBits`).
-
-        ``flat``'s bit arrays are views of ``stack.*[row]``, so the
-        default — delegating to :meth:`on_batch_access` — is always
-        correct; policies whose bookkeeping is pure PTE bits override
-        with direct stores along the leading seed axis.
-        """
-        self.on_batch_access(flat, idx, write)
-
     @abc.abstractmethod
     def make_shadow(self, page: "Page") -> ShadowEntry:
         """Snapshot policy state for *page* at eviction time."""
@@ -139,44 +99,24 @@ class ReplacementPolicy(abc.ABC):
     # charge (a single ``Compute`` per block — the same coalescing the
     # MG-LRU aging walker applies to its scan costs) followed by one
     # snapshot of every candidate's accessed bit at the same instant.
-    # Both helpers have a vectorized and a scalar kernel selected by
-    # ``system.fast_reclaim``; they compute identical values in
-    # identical RNG order, so trials are bit-identical either way.
 
     def _walk_block_ns(self, n: int) -> int:
         """Total cost of the next *n* reverse-map walks (one per
         candidate in a triage block), charged as a single Compute."""
         system = self.system
         assert system is not None
-        if system.fast_reclaim:
-            costs = system.rmap.walk_costs_ns(n)
-            if _mx.rmap_walk_block is not None:
-                _mx.rmap_walk_block(costs)
-            return int(costs.sum())
-        walk = system.rmap.walk_cost_ns
+        costs = system.rmap.walk_costs_ns(n)
         if _mx.rmap_walk_block is not None:
-            # Same RNG draws in the same order as the bare sum below.
-            scalar_costs = [walk() for _ in range(n)]
-            _mx.rmap_walk_block(scalar_costs)
-            return sum(scalar_costs)
-        return sum(walk() for _ in range(n))
+            _mx.rmap_walk_block(costs)
+        return int(costs.sum())
 
     def _snapshot_accessed(self, block: Sequence["Page"]) -> List[bool]:
-        """Accessed bits of every page in *block*, read at one instant.
-
-        The fast kernel reads through the flat PTE mirror with fancy
-        indexing; the scalar kernel reads the page properties.  Either
-        way the caller gets plain Python bools.
-        """
+        """Accessed bits of every page in *block*, read at one instant
+        through the flat PTE mirror, as plain Python bools."""
         system = self.system
         assert system is not None
-        if system.fast_reclaim:
-            flat = system.address_space.page_table.flat_view()
-            idx = np.fromiter(
-                (p._flat_idx for p in block), np.intp, count=len(block)
-            )
-            return flat.accessed[idx].tolist()
-        return [p.accessed for p in block]
+        accessed = system.address_space.page_table.flat_view().accessed
+        return [bool(accessed[p._flat_idx]) for p in block]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -32,19 +32,6 @@ class FIFOPolicy(ReplacementPolicy):
     def on_page_inserted(self, page: Page, shadow: Optional[ShadowEntry]) -> None:
         self.queue.push_head(page)
 
-    def on_batch_access(self, flat, idx, write: bool) -> None:
-        # FIFO never reads the accessed bit, but the PTE state must stay
-        # identical to the scalar path (the dirty bit decides writeback).
-        flat.accessed[idx] = True
-        if write:
-            flat.dirty[idx] = True
-
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: Page) -> ShadowEntry:
         self._evict_clock += 1
         assert self.system is not None

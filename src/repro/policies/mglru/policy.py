@@ -141,19 +141,6 @@ class MGLRUPolicy(ReplacementPolicy):
             page.tier = 0
             self.gens.insert(page, self.gens.max_seq)
 
-    def on_batch_access(self, flat, idx, write: bool) -> None:
-        # MG-LRU defers all ordering work to the walkers; an access only
-        # sets PTE bits, so the batched form is two fancy-indexed stores.
-        flat.accessed[idx] = True
-        if write:
-            flat.dirty[idx] = True
-
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: Page) -> ShadowEntry:
         assert self.system is not None
         self.tiers.record_eviction(page.tier)

@@ -226,20 +226,6 @@ class OPTPolicy(ReplacementPolicy):
         self._n_resident += 1
         self._push(page, self._predict(vpn, now))
 
-    def on_batch_access(self, flat, idx, write: bool) -> None:
-        # OPT's access bookkeeping is exactly the hardware PTE bits
-        # (predictions update at fault time, not access time), so a
-        # batch hit is two fancy-indexed stores.
-        flat.accessed[idx] = True
-        if write:
-            flat.dirty[idx] = True
-
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: Page) -> ShadowEntry:
         self._evict_clock += 1
         assert self.system is not None

@@ -46,19 +46,6 @@ class RandomPolicy(ReplacementPolicy):
         self._index[page.vpn] = len(self._pages)
         self._pages.append(page)
 
-    def on_batch_access(self, flat, idx, write: bool) -> None:
-        # Random tracks no access order; batched hits only need the PTE
-        # bit stores (re-access-during-writeback detection reads them).
-        flat.accessed[idx] = True
-        if write:
-            flat.dirty[idx] = True
-
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def _remove(self, page: Page) -> None:
         pos = self._index.pop(page.vpn)
         last = self._pages.pop()

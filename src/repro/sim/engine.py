@@ -13,7 +13,6 @@ increasing sequence number breaks ties), which keeps runs deterministic.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
@@ -50,11 +49,10 @@ class Engine:
     entry for the *same* instant, so execution order is provably
     identical to the heap-only path while fault completions, resource
     grants, waker kicks and thread spawns skip a heappush+heappop
-    round-trip.  ``REPRO_FAST_ENGINE=0`` (or ``fast=False``) forces the
-    heap-only reference behaviour for A/B verification.
+    round-trip.
     """
 
-    def __init__(self, fast: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._queue: list[tuple[int, int, Callable[[Any], None], Any]] = []
         #: Zero-delay events for the current instant, in schedule order:
         #: ``(seq, fn, arg)``, seq shared with the heap's numbering.
@@ -70,9 +68,6 @@ class Engine:
         self._running = False
         #: Live non-daemon threads (kept incrementally; checked per event).
         self._n_live_foreground = 0
-        if fast is None:
-            fast = os.environ.get("REPRO_FAST_ENGINE", "1") != "0"
-        self._fast = bool(fast)
 
     # ------------------------------------------------------------------
     # Clock and scheduling
@@ -88,7 +83,7 @@ class Engine:
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
         self._seq += 1
-        if delay_ns == 0 and self._fast:
+        if delay_ns == 0:
             self._imm.append((self._seq, _call0, fn))
             return
         heapq.heappush(self._queue, (self._now + delay_ns, self._seq, _call0, fn))
@@ -100,7 +95,7 @@ class Engine:
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
         self._seq += 1
-        if delay_ns == 0 and self._fast:
+        if delay_ns == 0:
             # Always deque-eligible: the entry carries the seq a heap
             # push would have used, and the run loop arbitrates against
             # same-instant heap entries by that seq.
@@ -112,10 +107,8 @@ class Engine:
         """True when a zero-delay continuation may run *immediately*
         (inside the current event) instead of via the queue: nothing else
         is pending at this instant, so no event could be reordered."""
-        return (
-            self._fast
-            and not self._imm
-            and (not self._queue or self._queue[0][0] > self._now)
+        return not self._imm and (
+            not self._queue or self._queue[0][0] > self._now
         )
 
     def schedule_at(self, when_ns: int, fn: Callable[[], None]) -> None:

@@ -60,13 +60,9 @@ class SwapDevice(abc.ABC):
     def write(self, page: Page) -> Iterator[Any]:
         """Generator: store *page*'s 4 KiB to the medium (swap-out)."""
 
-    def write_batch(
-        self, pages: Sequence[Page], fast: bool = True
-    ) -> Iterator[Any]:
+    def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Generator: store a block of pages (swap-out batch).
 
-        ``fast`` selects the vectorized latency kernel where the device
-        has one; both settings must produce bit-identical simulations.
         The base implementation is a serial fallback.
         """
         for page in pages:

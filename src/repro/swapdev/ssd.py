@@ -154,9 +154,7 @@ class SSDSwapDevice(SwapDevice):
         if _mx.swap_io is not None:
             _mx.swap_io(waited, 1)
 
-    def write_batch(
-        self, pages: Sequence[Page], fast: bool = True
-    ) -> Iterator[Any]:
+    def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Swap-out a whole eviction block in one queued submission.
 
         The batch acquires one device slot, services its pages back to
@@ -165,8 +163,7 @@ class SSDSwapDevice(SwapDevice):
         as N serial writes; each page's reported wait is the shared
         queueing delay plus its completion offset within the batch —
         i.e. exactly when it would finish if submitted serially into an
-        otherwise idle slot.  ``fast`` only switches the latency math
-        between the vectorized and the scalar kernel (identical values).
+        otherwise idle slot.
         """
         n = len(pages)
         if n == 1:
@@ -177,19 +174,10 @@ class SSDSwapDevice(SwapDevice):
         now = self._engine._now
         begin = self._slot_begin(now)
         base = self.costs.write_ns
-        if fast:
-            jit = self._take_jitter(n)
-            lats = np.maximum(1, (base * jit).astype(np.int64))
-            total = int(lats.sum())
-            ends = np.cumsum(lats)
-        else:
-            scalar_lats = [self._latency_ns(base) for _ in range(n)]
-            acc = 0
-            ends = []
-            for lat in scalar_lats:
-                acc += lat
-                ends.append(acc)
-            total = acc
+        jit = self._take_jitter(n)
+        lats = np.maximum(1, (base * jit).astype(np.int64))
+        total = int(lats.sum())
+        ends = np.cumsum(lats)
         queue_wait = begin - now
         spans = self.spans
         if spans is not None:
@@ -199,10 +187,7 @@ class SSDSwapDevice(SwapDevice):
         self._slot_take(begin + total)
         self._begins.append(begin)
         yield Sleep(begin + total - now)
-        if fast:
-            waits = (queue_wait + ends).tolist()
-        else:
-            waits = [queue_wait + end for end in ends]
+        waits = (queue_wait + ends).tolist()
         self.stats.writes += n
         self.stats.write_wait_ns += sum(waits)
         tp = _tp.swap_io_done

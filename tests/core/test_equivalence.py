@@ -1,9 +1,10 @@
-"""Bit-identity of the perf paths: fast access on/off, serial/parallel.
+"""Bit-identity of the perf paths: golden access cells, serial/parallel.
 
-The vectorized resident fast path, the pre-sampled jitter pools and the
-process-parallel grid are pure optimizations — every simulated trial
-must produce the exact same numbers as the scalar, serial code they
-replace.  These tests pin that contract on full trials.
+The vectorized resident access path, the pre-sampled jitter pools and
+the process-parallel grid are pure optimizations.  The access cells
+below are pinned to golden digests captured while the scalar access
+loop still shipped and agreed with the vectorized one (see
+:mod:`tests.core.golden`); the grid tests pin parallel == serial.
 """
 
 from __future__ import annotations
@@ -13,25 +14,15 @@ import pytest
 
 import repro.workloads as workloads_pkg
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, _jobs_from_env, run_trial
-from repro.workloads.tpch import TPCHParams, TPCHWorkload
+from repro.core.experiment import ExperimentRunner, _jobs_from_env
+from tests.core import golden
 
 
 @pytest.fixture(autouse=True)
 def tiny_tpch(monkeypatch):
     """Shrink TPC-H so a full trial takes well under a second."""
     monkeypatch.setitem(
-        workloads_pkg.WORKLOAD_FACTORIES,
-        "tpch",
-        lambda: TPCHWorkload(
-            TPCHParams(
-                table_pages=96,
-                hash_pages=96,
-                shuffle_pages=64,
-                n_threads=4,
-                n_queries=1,
-            )
-        ),
+        workloads_pkg.WORKLOAD_FACTORIES, "tpch", golden.tiny_tpch
     )
 
 
@@ -39,32 +30,16 @@ def _config(policy: str, swap: str) -> SystemConfig:
     return SystemConfig(policy=policy, swap=swap, capacity_ratio=0.5)
 
 
-@pytest.mark.parametrize(
-    "policy,swap",
-    [
-        ("clock", "ssd"),
-        ("mglru", "zram"),
-        ("fifo", "ssd"),
-        ("random", "zram"),
-        ("opt", "ssd"),
-        ("opt", "zram"),
-    ],
-)
-def test_fast_path_bit_identical(monkeypatch, policy, swap):
-    """Fast-on and fast-off trials agree on every stat, to the bit."""
-    monkeypatch.setenv("REPRO_FAST_ACCESS", "1")
-    fast = run_trial("tpch", _config(policy, swap), seed=4242)
-    monkeypatch.setenv("REPRO_FAST_ACCESS", "0")
-    slow = run_trial("tpch", _config(policy, swap), seed=4242)
-    assert fast == slow
-    # The fields the acceptance criteria call out, spelled explicitly
-    # (TrialResult equality already covers them).
-    assert fast.runtime_ns == slow.runtime_ns
-    assert fast.major_faults == slow.major_faults
-    assert fast.minor_faults == slow.minor_faults
-    assert fast.counters["evictions"] == slow.counters["evictions"]
-    assert fast.counters["rmap_walks"] == slow.counters["rmap_walks"]
-    assert fast.counters["hits"] == slow.counters["hits"]
+@pytest.mark.parametrize("policy,swap", golden.ACCESS_CELLS)
+def test_fast_path_bit_identical(policy, swap):
+    """Every stat of the trial matches the golden digest, to the bit."""
+    want = golden.load()["access"][golden.access_key(policy, swap)]
+    got = golden.summary(golden.access_trial(policy, swap))
+    # Headline numbers first, so a mismatch names what moved.
+    for field in ("runtime_ns", "major_faults", "minor_faults", "hits",
+                  "evictions"):
+        assert got[field] == want[field], field
+    assert got["digest"] == want["digest"]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro._units import PAGE_SIZE
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from tests.conftest import make_small_system, run_threads, touch_all
 
 
@@ -184,3 +184,36 @@ class TestConfigValidation:
         snap = system.stats.snapshot()
         assert snap["total_faults"] == snap["minor_faults"] + snap["major_faults"]
         assert snap["minor_faults"] == 64
+
+
+class TestAccessRunInput:
+    def test_unmapped_vpn_raises_naming_it(self):
+        eng, system, vma = make_small_system(capacity=128, heap_pages=64)
+        bad = vma.end_vpn + 1000
+        vpns = np.array([vma.start_vpn, bad, vma.end_vpn + 2000])
+
+        def body():
+            yield from system.access_run(vpns)
+
+        with pytest.raises(SimulationError, match=f"unmapped vpn {bad}$"):
+            run_threads(eng, system, [body()])
+        # Nothing was touched before the error.
+        assert system.stats.minor_faults == 0
+
+    def _thrash(self, as_list):
+        eng, system, vma = make_small_system(capacity=96, heap_pages=256, seed=5)
+        rng = np.random.default_rng(0)
+
+        def body(tid):
+            picks = vma.start_vpn + rng.integers(0, 256, 400)
+            if as_list:
+                picks = picks.tolist()
+            yield from system.access_run(
+                picks, write=(tid % 2 == 0), compute_ns_per_access=700
+            )
+
+        run_threads(eng, system, [body(t) for t in range(4)])
+        return eng.now, system.stats.snapshot()
+
+    def test_list_input_matches_ndarray_input(self):
+        assert self._thrash(as_list=True) == self._thrash(as_list=False)

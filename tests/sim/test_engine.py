@@ -60,25 +60,24 @@ class TestScheduling:
 
 
 class TestImmediateFastPath:
-    """The zero-delay deque must be execution-order-identical to the
-    heap-only reference — runs toggle only which queue carries events."""
+    """The zero-delay deque must keep the execution order of a single
+    time-ordered queue: same-instant events fire in schedule order."""
 
-    def test_zero_delay_lands_in_deque_only_when_fast(self):
-        fast = Engine(fast=True)
-        fast.schedule(0, lambda: None)
-        assert len(fast._imm) == 1 and not fast._queue
-        slow = Engine(fast=False)
-        slow.schedule(0, lambda: None)
-        assert not slow._imm and len(slow._queue) == 1
+    def test_zero_delay_lands_in_deque(self):
+        engine = Engine()
+        engine.schedule(0, lambda: None)
+        assert len(engine._imm) == 1 and not engine._queue
+        engine.schedule(1, lambda: None)
+        assert len(engine._imm) == 1 and len(engine._queue) == 1
 
     @staticmethod
-    def _run_order(fast: bool) -> list:
+    def _run_order() -> list:
         """Interleave zero-delay events with same-instant heap entries.
 
         At t=5 the earlier-scheduled callback A fires first and enqueues
         a zero-delay C; the heap still holds B for t=5 with a *smaller*
-        sequence number, so B must run before C in both modes."""
-        engine = Engine(fast=fast)
+        sequence number, so B must run before C."""
+        engine = Engine()
         order = []
         engine.schedule(
             5,
@@ -94,14 +93,11 @@ class TestImmediateFastPath:
         return order
 
     def test_same_instant_heap_entry_beats_younger_imm_entry(self):
-        assert self._run_order(fast=True) == ["A", "B", "C", "D"]
-
-    def test_fast_order_matches_heap_reference(self):
-        assert self._run_order(fast=True) == self._run_order(fast=False)
+        assert self._run_order() == ["A", "B", "C", "D"]
 
     @staticmethod
-    def _chain_order(fast: bool) -> list:
-        engine = Engine(fast=fast)
+    def _chain_order() -> list:
+        engine = Engine()
         order = []
 
         def first():
@@ -115,11 +111,10 @@ class TestImmediateFastPath:
         return order
 
     def test_zero_delay_chain_is_fifo(self):
-        assert self._chain_order(fast=True) == ["a", "b", "c"]
-        assert self._chain_order(fast=True) == self._chain_order(fast=False)
+        assert self._chain_order() == ["a", "b", "c"]
 
     def test_inline_ok_only_when_nothing_else_pending(self):
-        engine = Engine(fast=True)
+        engine = Engine()
         assert engine._inline_ok()
         engine.schedule(0, lambda: None)
         assert not engine._inline_ok()  # a deque entry could reorder
@@ -128,21 +123,19 @@ class TestImmediateFastPath:
         assert engine._inline_ok()  # future heap entry: no conflict
         engine._now = 3
         assert not engine._inline_ok()  # same-instant heap entry
-        assert not Engine(fast=False)._inline_ok()
 
     def test_zero_delay_spawn_keeps_spawn_order(self):
-        for fast in (True, False):
-            engine = Engine(fast=fast)
-            order = []
+        engine = Engine()
+        order = []
 
-            def body(tag):
-                order.append(tag)
-                yield Sleep(1)
+        def body(tag):
+            order.append(tag)
+            yield Sleep(1)
 
-            for tag in ("x", "y", "z"):
-                engine.spawn(body(tag), name=tag)
-            engine.run()
-            assert order == ["x", "y", "z"], f"fast={fast}"
+        for tag in ("x", "y", "z"):
+            engine.spawn(body(tag), name=tag)
+        engine.run()
+        assert order == ["x", "y", "z"]
 
 
 class TestThreads:

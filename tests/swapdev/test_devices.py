@@ -92,26 +92,12 @@ class TestSSDWriteBatch:
         )
 
     @staticmethod
-    def _run_batch(engine, device, pages, fast):
+    def _run_batch(engine, device, pages):
         def body():
-            yield from device.write_batch(pages, fast=fast)
+            yield from device.write_batch(pages)
 
         engine.spawn(body(), name="batch")
         return engine.run()
-
-    def test_fast_matches_scalar_kernel(self):
-        """The vectorized and scalar latency kernels must agree on the
-        completion instant and every per-page wait, to the bit."""
-        pages = [Page(v) for v in range(7)]
-        engine_a = Engine()
-        dev_a = self._device(engine_a, seed=3)
-        end_a = self._run_batch(engine_a, dev_a, pages, fast=True)
-        engine_b = Engine()
-        dev_b = self._device(engine_b, seed=3)
-        end_b = self._run_batch(engine_b, dev_b, pages, fast=False)
-        assert end_a == end_b
-        assert dev_a.stats.writes == dev_b.stats.writes == 7
-        assert dev_a.stats.write_wait_ns == dev_b.stats.write_wait_ns
 
     def test_batch_draws_jitter_like_serial_writes(self):
         """A batch consumes the jitter stream exactly like N serial
@@ -119,7 +105,7 @@ class TestSSDWriteBatch:
         pages = [Page(v) for v in range(5)]
         engine_a = Engine()
         dev_a = self._device(engine_a, seed=11)
-        end_batch = self._run_batch(engine_a, dev_a, pages, fast=True)
+        end_batch = self._run_batch(engine_a, dev_a, pages)
         engine_b = Engine()
         dev_b = self._device(engine_b, seed=11)
         end_serial = drive(engine_b, dev_b, [("w", p) for p in pages])
@@ -131,7 +117,7 @@ class TestSSDWriteBatch:
         engine = Engine()
         device = self._device(engine, jitter_sigma=0.0)
         pages = [Page(v) for v in range(4)]
-        self._run_batch(engine, device, pages, fast=True)
+        self._run_batch(engine, device, pages)
         write_ns = device.costs.write_ns
         assert device.stats.write_wait_ns == write_ns * (1 + 2 + 3 + 4)
 
@@ -143,7 +129,7 @@ class TestSSDWriteBatch:
         pages = [Page(v) for v in range(3)]
 
         def batch():
-            yield from device.write_batch(pages, fast=True)
+            yield from device.write_batch(pages)
 
         def reader():
             yield from device.read(Page(99))
@@ -157,7 +143,7 @@ class TestSSDWriteBatch:
     def test_single_page_batch_equals_plain_write(self):
         engine_a = Engine()
         dev_a = self._device(engine_a, seed=5)
-        end_a = self._run_batch(engine_a, dev_a, [Page(0)], fast=True)
+        end_a = self._run_batch(engine_a, dev_a, [Page(0)])
         engine_b = Engine()
         dev_b = self._device(engine_b, seed=5)
         end_b = drive(engine_b, dev_b, [("w", Page(0))])
