@@ -48,7 +48,6 @@ class SimThread:
         "cpu",
         "_finished",
         "_result",
-        "_started",
         "done_event",
         "compute_requested_ns",
         "finish_time_ns",
@@ -74,7 +73,6 @@ class SimThread:
         self.cpu: Optional["CPU"] = None
         self._finished = False
         self._result: Any = None
-        self._started = False
         #: Fires with the generator's return value when the thread ends.
         self.done_event = OneShotEvent(f"{name}-done")
         #: Total CPU work requested (ns, before contention dilation).
@@ -115,7 +113,6 @@ class SimThread:
         """Advance the generator by one command and dispatch it."""
         if self._finished:
             raise SimulationError(f"thread {self.name!r} resumed after finish")
-        self._started = True
         engine = self._engine
         # Observability: anything the generator calls below (PSI stall
         # sites in particular) can attribute itself to this thread.

@@ -24,7 +24,7 @@ pattern corresponds to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -82,47 +82,41 @@ def build_pagerank_dataset(p: PageRankParams, rng: RngTree) -> dict:
         rng.stream("graph"),
         alpha=p.power_law_alpha,
     )
-    edge_page_ranks = graph.edge_page_rank_pages()
-    n_edge_pages = graph.n_edge_pages()
-    rels: List[np.ndarray] = []
-    isedges: List[np.ndarray] = []
+    touched = graph.rank_page_incidence()
+    n_edge_pages = touched.shape[0]
+    # The whole graph's gather trace — each edge page followed by the
+    # distinct rank pages its targets live on — with page_start[ep]
+    # the trace position of edge page ep.
+    page_start = np.zeros(n_edge_pages + 1, dtype=np.int64)
+    np.cumsum(touched.sum(axis=1) + 1, out=page_start[1:])
+    is_edge_all = np.zeros(int(page_start[-1]), dtype=bool)
+    is_edge_all[page_start[:-1]] = True
+    rel_all = np.empty(int(page_start[-1]), dtype=np.int64)
+    rel_all[page_start[:-1]] = np.arange(n_edge_pages)
+    rel_all[~is_edge_all] = np.nonzero(touched)[1]
+    # Each thread's trace is the slice covering the edge pages of its
+    # vertex range (neighbouring threads share their boundary page).
+    v_bounds = np.array(
+        [chunk_bounds(graph.n_vertices, p.n_threads, tid)[0]
+         for tid in range(p.n_threads)] + [graph.n_vertices],
+        dtype=np.int64,
+    )
+    e_lo = graph.offsets[v_bounds[:-1]] // ENTRIES_PER_PAGE
+    e_hi = -(-graph.offsets[v_bounds[1:]] // ENTRIES_PER_PAGE)
+    lengths = page_start[e_hi] - page_start[e_lo]
     starts = np.zeros(p.n_threads + 1, dtype=np.int64)
-    touches = np.zeros(p.n_threads, dtype=np.int64)
-    bounds = np.zeros((p.n_threads, 2), dtype=np.int64)
-    for tid in range(p.n_threads):
-        v_lo, v_hi = chunk_bounds(graph.n_vertices, p.n_threads, tid)
-        e_lo = int(graph.offsets[v_lo]) // ENTRIES_PER_PAGE
-        e_hi = min(-(-int(graph.offsets[v_hi]) // ENTRIES_PER_PAGE), n_edge_pages)
-        pieces: List[np.ndarray] = []
-        n_rank_touches = 0
-        for ep in range(e_lo, e_hi):
-            pieces.append(np.array([ep], dtype=np.int64))
-            ranks = edge_page_ranks[ep]
-            n_rank_touches += len(ranks)
-            pieces.append(ranks)
-        rel = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        is_edge = np.zeros(len(rel), dtype=bool)
-        off = 0
-        for ep in range(e_lo, e_hi):
-            is_edge[off] = True
-            off += 1 + len(edge_page_ranks[ep])
-        rels.append(rel)
-        isedges.append(is_edge)
-        starts[tid + 1] = starts[tid] + len(rel)
-        touches[tid] = n_rank_touches
-        bounds[tid] = (e_lo, e_hi)
+    np.cumsum(lengths, out=starts[1:])
+    idx = np.arange(starts[-1]) + np.repeat(
+        page_start[e_lo] - starts[:-1], lengths
+    )
     return {
         "offsets": graph.offsets,
         "targets": graph.targets,
-        "trace_rel": (
-            np.concatenate(rels) if rels else np.empty(0, dtype=np.int64)
-        ),
-        "trace_isedge": (
-            np.concatenate(isedges) if isedges else np.empty(0, dtype=bool)
-        ),
+        "trace_rel": rel_all[idx],
+        "trace_isedge": is_edge_all[idx],
         "trace_starts": starts,
-        "trace_rank_touches": touches,
-        "trace_edge_bounds": bounds,
+        "trace_rank_touches": lengths - (e_hi - e_lo),
+        "trace_edge_bounds": np.stack([e_lo, e_hi], axis=1),
     }
 
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.graph import ENTRIES_PER_PAGE, power_law_graph
+from repro.workloads.graph import (
+    ENTRIES_PER_PAGE,
+    _inverse_cdf_sample,
+    power_law_graph,
+)
 from repro.workloads.pagerank import pagerank_scores
 
 
@@ -53,6 +57,45 @@ class TestGeneration:
             power_law_graph(1, 10, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             power_law_graph(10, 0, np.random.default_rng(0))
+
+
+class FixedKeys:
+    """Stands in for a Generator whose ``random(n)`` returns *keys*."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.keys)
+        return self.keys.copy()
+
+
+class TestInverseCdfSample:
+    """The guide-table sampler against ``np.searchsorted`` itself."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.65, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_matches_searchsorted(self, n, alpha):
+        cdf = np.cumsum(np.power(np.arange(n, dtype=np.float64) + 4, -alpha))
+        cdf /= cdf[-1]
+        keys = np.random.default_rng(n).random(20_000)
+        # Keys exactly on every bucket edge and on every cdf value.
+        buckets = 1 << (n.bit_length() + 1)
+        keys[:buckets] = np.arange(buckets) / buckets
+        keys[-n:] = cdf % 1.0
+        got = _inverse_cdf_sample(cdf, FixedKeys(keys), len(keys))
+        assert (got == np.searchsorted(cdf, keys, side="left")).all()
+
+    def test_plateaus_match_searchsorted(self):
+        # Zero weights make runs of equal cdf values.
+        weights = np.tile([1.0, 0.0, 0.0, 3.0, 0.0], 40)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        keys = np.concatenate(
+            [cdf[cdf < 1.0], np.random.default_rng(0).random(5000)]
+        )
+        got = _inverse_cdf_sample(cdf, FixedKeys(keys), len(keys))
+        assert (got == np.searchsorted(cdf, keys, side="left")).all()
 
 
 class TestPageLayout:
