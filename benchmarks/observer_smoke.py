@@ -1,17 +1,17 @@
 """Observer smoke verifier for the CI ``psi-smoke`` and ``spans-smoke`` jobs.
 
 Checks three contracts over a pair of fleet sinks produced by
-``python -m repro.fleet run`` for one observer plane (one run with the
-plane off, one with it on, same cell):
+``python -m repro.fleet run`` for one or more observer planes (one run
+with every plane off, one with the selected planes on, same cell):
 
 1. **Baseline byte-identity** — the plane-off sink must equal the
    committed ``tests/data/psi_smoke_baseline.jsonl`` byte for byte
    (the sim is machine-independent and the sink header carries no
    timestamps; with every observer off both jobs produce the identical
    sink, so any diff is a real behavior change).
-2. **Observer purity** — every plane-on row, minus the plane's
-   sections, must equal the corresponding plane-off row.
-3. **Plane invariants**:
+2. **Observer purity** — every plane-on row, minus the selected
+   planes' sections, must equal the corresponding plane-off row.
+3. **Plane invariants**, for each selected plane:
 
    - ``psi``: per row, the sampled ``some/full`` totals are
      non-decreasing, ``full <= some`` at every tick and in the
@@ -26,8 +26,11 @@ plane off, one with it on, same cell):
 
 Usage::
 
-    python benchmarks/observer_smoke.py --plane {psi,spans} \\
+    python benchmarks/observer_smoke.py --plane PLANES \\
         --off OFF.jsonl --on ON.jsonl [--baseline PATH]
+
+``PLANES`` is ``psi``, ``spans``, or ``psi,spans`` for a run with both
+planes on together.
 
 Exits non-zero with a list of violations on any failure.
 """
@@ -47,10 +50,11 @@ sys.path.insert(
 from repro.fleet.sink import load_rows  # noqa: E402
 
 
-def _strip(row: dict, section: str) -> dict:
-    out = {k: v for k, v in row.items() if k != section}
+def _strip(row: dict, sections: List[str]) -> dict:
+    out = {k: v for k, v in row.items() if k not in sections}
     out["tenants"] = [
-        {k: v for k, v in t.items() if k != section} for t in row["tenants"]
+        {k: v for k, v in t.items() if k not in sections}
+        for t in row["tenants"]
     ]
     return out
 
@@ -68,27 +72,29 @@ def check_baseline(off_path: str, baseline_path: str, name: str) -> List[str]:
 
 
 def check_purity(
-    off_rows: list, on_rows: list, name: str, section: str
+    off_rows: list, on_rows: list, name: str, sections: List[str]
 ) -> List[str]:
     failures: List[str] = []
     key = lambda r: (r["policy"], r["seed"])  # noqa: E731
     off_by_key = {key(r): r for r in off_rows}
     for row in on_rows:
-        if section not in row:
+        missing = [s for s in sections if s not in row]
+        if missing:
             failures.append(
-                f"{key(row)}: {name}-on row carries no {section} section"
+                f"{key(row)}: {name}-on row carries no "
+                f"{'/'.join(missing)} section"
             )
             continue
         off = off_by_key.get(key(row))
         if off is None:
             failures.append(f"{key(row)}: no matching {name}-off row")
             continue
-        if json.dumps(_strip(row, section), sort_keys=True) != json.dumps(
+        if json.dumps(_strip(row, sections), sort_keys=True) != json.dumps(
             off, sort_keys=True
         ):
             failures.append(
-                f"{key(row)}: {name}-on row minus {section} sections "
-                f"differs from the {name}-off row"
+                f"{key(row)}: {name}-on row minus {'/'.join(sections)} "
+                f"sections differs from the {name}-off row"
             )
     return failures
 
@@ -214,7 +220,11 @@ def summary(plane: str, on_rows: list) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--plane", required=True, choices=sorted(PLANES))
+    parser.add_argument(
+        "--plane",
+        required=True,
+        help=f"comma-separated planes that were on: {', '.join(PLANES)}",
+    )
     parser.add_argument("--off", required=True, help="plane-off sink path")
     parser.add_argument("--on", required=True, help="plane-on sink path")
     parser.add_argument(
@@ -227,20 +237,28 @@ def main(argv=None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    name, check = PLANES[args.plane]
+    planes = args.plane.split(",")
+    for plane in planes:
+        if plane not in PLANES:
+            parser.error(
+                f"unknown plane {plane!r}; choose from {', '.join(PLANES)}"
+            )
+    name = "+".join(PLANES[plane][0] for plane in planes)
 
     failures = check_baseline(args.off, args.baseline, name)
     _, off_rows = load_rows(args.off)
     _, on_rows = load_rows(args.on)
-    failures += check_purity(off_rows, on_rows, name, args.plane)
-    failures += check(on_rows)
+    failures += check_purity(off_rows, on_rows, name, planes)
+    for plane in planes:
+        failures += PLANES[plane][1](on_rows)
 
     if failures:
         print(f"{name.upper()} SMOKE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(summary(args.plane, on_rows))
+    for plane in planes:
+        print(summary(plane, on_rows))
     return 0
 
 

@@ -22,41 +22,24 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
-from repro.core.figures import FIGURES, FigureResult
-from repro.core.results import ExperimentResult, TrialResult
-from repro.metrics import MetricsConfig
-from repro.mm.system import MemorySystem
-from repro.policies import (
-    MGLRU_VARIANTS,
-    PAPER_POLICIES,
-    MGLRUParams,
-    make_policy,
-)
-from repro.trace import TraceCapture, TraceConfig
-from repro.workloads import PAPER_WORKLOADS, make_workload
+from repro._lazy import lazy_exports
+
+# Resolved on first access, so importing one simulator module
+# (``repro.mm.system``, say) does not load the harness and every
+# observability plane with it.
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.config": ("ExperimentConfig", "SystemConfig"),
+    "repro.core.experiment": ("ExperimentRunner", "run_trial"),
+    "repro.core.figures": ("FIGURES", "FigureResult"),
+    "repro.core.results": ("ExperimentResult", "TrialResult"),
+    "repro.metrics": ("MetricsConfig",),
+    "repro.mm.system": ("MemorySystem",),
+    "repro.policies": (
+        "MGLRU_VARIANTS", "PAPER_POLICIES", "MGLRUParams", "make_policy",
+    ),
+    "repro.trace": ("TraceCapture", "TraceConfig"),
+    "repro.workloads": ("PAPER_WORKLOADS", "make_workload"),
+})
+__all__.append("__version__")
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "SystemConfig",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "run_trial",
-    "TrialResult",
-    "ExperimentResult",
-    "FigureResult",
-    "FIGURES",
-    "MemorySystem",
-    "TraceCapture",
-    "TraceConfig",
-    "MetricsConfig",
-    "MGLRUParams",
-    "make_policy",
-    "make_workload",
-    "PAPER_POLICIES",
-    "PAPER_WORKLOADS",
-    "MGLRU_VARIANTS",
-    "__version__",
-]

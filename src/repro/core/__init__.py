@@ -11,15 +11,12 @@
 - :mod:`~repro.core.figures` — one generator per paper figure.
 """
 
-from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
-from repro.core.results import ExperimentResult, TrialResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SystemConfig",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "run_trial",
-    "TrialResult",
-    "ExperimentResult",
-]
+# Resolved on first access, so ``from repro.core import tracecache``
+# loads that module alone.
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.config": ("ExperimentConfig", "SystemConfig"),
+    "repro.core.experiment": ("ExperimentRunner", "run_trial"),
+    "repro.core.results": ("ExperimentResult", "TrialResult"),
+})

@@ -10,12 +10,11 @@ so figure generators can share measurements.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict
-from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro._env import int_knob
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.results import ExperimentResult, TrialResult
 from repro.core.seedmajor import (
@@ -82,16 +81,18 @@ def run_trial(
 ) -> TrialResult:
     """One full workload execution on a fresh simulator.
 
-    With ``trace`` set (and enabled), a :class:`TraceSession` attaches
-    ring-buffer probes to the tracepoints and samples vmstat for the
-    trial's duration; the capture comes back on ``TrialResult.trace``.
-    With ``metrics`` set (and enabled), a :class:`MetricsSession`
-    attaches recorders to the metrics hooks and the aggregate registry
-    comes back on ``TrialResult.metrics_registry``.  With ``spans``
-    set, a :class:`~repro.spans.SpanRecorder` installs in the observer
-    slots and the finished :class:`~repro.spans.SpanTable` comes back
-    on ``TrialResult.spans``.  Probes and recorders are passive, so
-    traced/metered/spanned trials are bit-identical to bare ones.
+    With ``trace`` set (and enabled), a :class:`TraceSession` records
+    tracepoints into a ring buffer and samples vmstat for the trial's
+    duration; the capture comes back on ``TrialResult.trace``.  With
+    ``metrics`` set (and enabled), a :class:`MetricsSession` meters the
+    trial and the aggregate registry comes back on
+    ``TrialResult.metrics_registry``.  With ``spans`` set, a
+    :class:`~repro.spans.SpanRecorder` records fault spans and the
+    finished :class:`~repro.spans.SpanTable` comes back on
+    ``TrialResult.spans``.  All three subscribe to the observer bus
+    (:mod:`repro.observe`) and are passive, so traced/metered/spanned
+    trials are bit-identical to bare ones; every subscriber detaches
+    when the trial ends, also when it fails.
 
     ``_seed_cell``/``_seed_row`` are the seed-major fast lane's private
     context (see :mod:`repro.core.seedmajor`): this trial is row
@@ -119,24 +120,26 @@ def run_trial(
             _seed_cell.bits(), _seed_row
         )
     session: Optional[TraceSession] = None
-    if trace is not None and trace.enabled:
-        session = TraceSession(trace, system)
-        session.start()
     mx_session: Optional[MetricsSession] = None
-    if metrics is not None and metrics.enabled:
-        mx_session = MetricsSession(
-            metrics, system, cache_baseline=cache_baseline
-        )
-        mx_session.start()
     recorder: Optional[SpanRecorder] = None
-    if spans is not None:
-        recorder = SpanRecorder(engine, spans)
-        recorder.install(system)
-        if spans.profile_interval_ns > 0:
-            engine.spawn(
-                recorder.run_profiler(), name="spans-profiler", daemon=True
-            )
     try:
+        if trace is not None and trace.enabled:
+            session = TraceSession(trace, system)
+            session.start()
+        if metrics is not None and metrics.enabled:
+            mx_session = MetricsSession(
+                metrics, system, cache_baseline=cache_baseline
+            )
+            mx_session.start()
+        if spans is not None:
+            recorder = SpanRecorder(engine, spans)
+            recorder.attach(system)
+            if spans.profile_interval_ns > 0:
+                engine.spawn(
+                    recorder.run_profiler(),
+                    name="spans-profiler",
+                    daemon=True,
+                )
         workload.setup(system)
         if _seed_cell is not None:
             _seed_cell.verify_layout(system.address_space, _seed_row)
@@ -144,8 +147,8 @@ def run_trial(
         workload.spawn(system)
         runtime_ns = engine.run()
     finally:
-        # Probes/recorders are process-global; detach even on error
-        # paths so a failed trial cannot leak them into the next one.
+        # Subscribers are process-global; detach even on error paths
+        # so a failed trial cannot leak them into the next one.
         if session is not None:
             session.detach()
         if mx_session is not None:
@@ -215,21 +218,6 @@ def run_trial(
     )
 
 
-@lru_cache(maxsize=None)
-def _parse_jobs(raw: str) -> int:
-    """Parse one ``REPRO_JOBS`` value; memoized per distinct raw string
-    so a bad value warns once per process instead of once per runner."""
-    try:
-        jobs = int(raw)
-    except ValueError:
-        warnings.warn(f"REPRO_JOBS={raw!r} is not an integer; running serial")
-        return 1
-    if jobs < 1:
-        warnings.warn(f"REPRO_JOBS={jobs} < 1; running serial")
-        return 1
-    return jobs
-
-
 def _jobs_from_env() -> int:
     """Parse the ``REPRO_JOBS`` knob (default 1 = serial).
 
@@ -237,7 +225,10 @@ def _jobs_from_env() -> int:
     rather than erroring mid-sweep; the warning fires once per process
     per distinct value, not on every runner construction.
     """
-    return _parse_jobs(os.environ.get("REPRO_JOBS", "1"))
+    return int_knob(
+        "REPRO_JOBS", os.environ.get("REPRO_JOBS", "1"), 1, 1,
+        "running serial",
+    )
 
 
 class ExperimentRunner:

@@ -39,6 +39,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro._env import int_knob
+
 #: Default cache root (under ``$HOME``); override with REPRO_TRACE_CACHE.
 DEFAULT_ROOT = "~/.cache/repro-traces"
 #: Default size cap in MiB; override with REPRO_TRACE_CACHE_CAP_MB.
@@ -85,12 +87,15 @@ def cache_root() -> Optional[Path]:
 
 
 def cache_cap_bytes() -> int:
-    """The size cap in bytes (values <= 0 mean unlimited)."""
+    """The size cap in bytes (values <= 0 mean unlimited); a malformed
+    value keeps the default with a warning."""
     raw = os.environ.get("REPRO_TRACE_CACHE_CAP_MB", "")
-    try:
-        cap_mb = int(raw) if raw else DEFAULT_CAP_MB
-    except ValueError:
-        cap_mb = DEFAULT_CAP_MB
+    cap_mb = DEFAULT_CAP_MB
+    if raw:
+        cap_mb = int_knob(
+            "REPRO_TRACE_CACHE_CAP_MB", raw, DEFAULT_CAP_MB, None,
+            f"using the default {DEFAULT_CAP_MB} MiB",
+        )
     return cap_mb * (1 << 20)
 
 

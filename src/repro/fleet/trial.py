@@ -23,11 +23,12 @@ from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro import observe
+from repro._env import int_knob
 from repro.core.config import SystemConfig
 from repro.core.experiment import DATASET_SEED
 from repro.fleet.config import FleetConfig, TenantShape, apportion_requests
 from repro.memcg import MemCgroup, MemcgPolicy, audit_usage
-from repro.metrics import hooks as _mx
 from repro.metrics.registry import Histogram
 from repro.mm.page import PageKind
 from repro.mm.system import MemorySystem
@@ -54,7 +55,7 @@ class _LaneStats:
     """Process-global fleet serving-lane telemetry.
 
     Always-on counters (two integer adds per KEY_BATCH), independent of
-    the metrics plane; the ``fleet_batch``/``fleet_lane`` hooks feed the
+    the metrics plane; the ``fleet_batch``/``fleet_lane`` events feed the
     same numbers into a :class:`~repro.metrics.session.MetricsSession`
     registry as ``repro_fleet_*`` metrics.  Both serving lanes report
     identical request/residue counts for the same cell — only the
@@ -108,8 +109,7 @@ def psi_enabled() -> bool:
 
     PSI is a pure observer: enabling it adds a ``psi`` section to rows
     and tenant entries but leaves every pre-existing field byte-
-    identical, and PSI-off runs carry zero per-event cost (the stall
-    sites gate on ``system.psi is None``).
+    identical, and PSI-off runs attach no subscriber.
     """
     return os.environ.get("REPRO_PSI", "0") != "0"
 
@@ -119,20 +119,19 @@ def spans_enabled() -> bool:
 
     Same observer contract as PSI: spans-on adds a ``spans`` section to
     rows and tenant entries, leaves every pre-existing field
-    byte-identical, and spans-off runs pay only the ``is None`` gates.
+    byte-identical, and spans-off runs attach no subscriber.
     """
     return os.environ.get("REPRO_SPANS", "0") != "0"
 
 
 def spans_sample_env() -> int:
     """The ``REPRO_SPANS_SAMPLE`` head-sampling knob (default 1: keep
-    every fault's full record; aggregates always cover all faults)."""
-    raw = os.environ.get("REPRO_SPANS_SAMPLE", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
+    every fault's full record; aggregates always cover all faults).
+    Malformed values fall back to 1 with a warning."""
+    return int_knob(
+        "REPRO_SPANS_SAMPLE", os.environ.get("REPRO_SPANS_SAMPLE", "1"),
+        1, 1, "keeping every record",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +216,9 @@ class _TenantState:
         self.major_faults = 0
         self.minor_faults = 0
         #: Coalesced SLO-violation windows ``[deadline, completion]``
-        #: (only populated while PSI is on; the attribution section
+        #: (a list only while PSI is on; the attribution section
         #: overlaps them against the tenant's PSI stall intervals).
-        self.viol_intervals: List[List[int]] = []
+        self.viol_intervals: Optional[List[List[int]]] = None
 
 
 def _viol_add(intervals: List[List[int]], start: int, end: int) -> None:
@@ -289,10 +288,8 @@ def _tenant_body(
     n_mine = int(arrivals.shape[0])
     fault_hist = state.fault_hist
     request_hist = state.request_hist
-    # PSI attribution wants the tenant's SLO-violation windows; the
-    # tracker installs before the engine runs, so the slot is settled
-    # by the time this generator first executes.
-    viol = state.viol_intervals if system.psi is not None else None
+    # PSI attribution wants the tenant's SLO-violation windows.
+    viol = state.viol_intervals
     pending_ns = 0
     #: Arrivals of hit requests whose burst has not flushed yet.
     waiting: List[int] = []
@@ -391,8 +388,8 @@ def _tenant_body(
         LANE_STATS.requests += batch
         LANE_STATS.residue_requests += n_residue
         LANE_STATS.batches += 1
-        if _mx.fleet_batch is not None:
-            _mx.fleet_batch(batch, n_residue)
+        if (hook := observe.fleet_batch) is not None:
+            hook(batch, n_residue)
     if pending_ns:
         yield Compute(pending_ns)
     flush_observe()
@@ -462,7 +459,7 @@ def _tenant_body_fast(
     n_mine = int(arrivals.shape[0])
     fault_hist = state.fault_hist
     request_hist = state.request_hist
-    viol = state.viol_intervals if system.psi is not None else None
+    viol = state.viol_intervals
     # Per-tenant flat-index maps, translated once: the tenant's layout
     # is static, so per-batch lookups reduce to one gather each.
     index_map = flat.translate(index_start + np.arange(store.n_index_pages))
@@ -776,8 +773,8 @@ def _tenant_body_fast(
         LANE_STATS.requests += batch
         LANE_STATS.residue_requests += n_residue
         LANE_STATS.batches += 1
-        if _mx.fleet_batch is not None:
-            _mx.fleet_batch(batch, n_residue)
+        if (hook := observe.fleet_batch) is not None:
+            hook(batch, n_residue)
     if pending_ns:
         yield Compute(pending_ns)
     flush_observe()
@@ -805,7 +802,7 @@ def run_fleet_trial(
     row is byte-identical either way.
 
     ``psi`` opts the trial into kernel-style pressure-stall accounting:
-    ``True`` (or a :class:`~repro.psi.PsiConfig`) installs a
+    ``True`` (or a :class:`~repro.psi.PsiConfig`) attaches a
     :class:`~repro.psi.PsiTracker` and adds a ``psi`` section to the
     row and to each tenant entry; ``False`` disables it; ``None`` reads
     ``REPRO_PSI`` (default off).  PSI is deliberately *not* part of
@@ -814,7 +811,7 @@ def run_fleet_trial(
 
     ``spans`` opts the trial into causal fault-span recording under the
     same contract: ``True`` (or a :class:`~repro.spans.SpansConfig`)
-    installs a :class:`~repro.spans.SpanRecorder` and adds a ``spans``
+    attaches a :class:`~repro.spans.SpanRecorder` and adds a ``spans``
     section to the row and to each tenant entry; ``False`` disables;
     ``None`` reads ``REPRO_SPANS`` (default off), with
     ``REPRO_SPANS_SAMPLE`` controlling head sampling of retained
@@ -938,14 +935,17 @@ def run_fleet_trial(
     ]
     shares = apportion_requests(config.n_requests_total, weights)
     states = [_TenantState() for _ in range(n)]
+    if psi_config is not None:
+        for state in states:
+            state.viol_intervals = []
     w_sum = sum(weights)
     body = _tenant_body_fast if fast_fleet else _tenant_body
     if fast_fleet:
         LANE_STATS.fast_trials += 1
     else:
         LANE_STATS.scalar_trials += 1
-    if _mx.fleet_lane is not None:
-        _mx.fleet_lane(bool(fast_fleet))
+    if (hook := observe.fleet_lane) is not None:
+        hook(bool(fast_fleet))
     for i in range(n):
         if shares[i] == 0:
             continue
@@ -973,38 +973,38 @@ def run_fleet_trial(
             f"tenant-{i}",
         )
 
-    # PSI installs *before* the engine runs: a pure observer (two
-    # ``None``-default slots on system/cpu plus a Sleep-only sampler
-    # daemon), so PSI-on leaves every pre-existing row field
-    # byte-identical to PSI-off.
-    tracker: Optional[PsiTracker] = None
-    if psi_config is not None:
-        tracker = PsiTracker(engine, psi_config)
-        for cg in cgroups:
-            tracker.add_group(cg, record_intervals=True)
-        tracker.install(system)
-        engine.spawn(
-            tracker.run_sampler(), name="psi-sampler", daemon=True
-        )
-
-    # Spans install under the identical observer contract: three
-    # ``None``-default slots plus an optional Sleep-only profiler
-    # daemon, so spans-on rows stay byte-identical in every
+    # PSI and spans subscribe to the observer bus *before* the engine
+    # runs.  Both are pure observers (plus Sleep-only sampler/profiler
+    # daemons), so rows with them on stay byte-identical in every
     # pre-existing field.
+    tracker: Optional[PsiTracker] = None
     recorder: Optional[SpanRecorder] = None
-    if spans_config is not None:
-        recorder = SpanRecorder(engine, spans_config)
-        recorder.install(system)
-        if spans_config.profile_interval_ns > 0:
-            engine.spawn(
-                recorder.run_profiler(), name="spans-profiler",
-                daemon=True,
-            )
-
-    system.start()
     try:
+        if psi_config is not None:
+            tracker = PsiTracker(engine, psi_config)
+            for cg in cgroups:
+                tracker.add_group(cg, record_intervals=True)
+            tracker.attach(system)
+            engine.spawn(
+                tracker.run_sampler(), name="psi-sampler", daemon=True
+            )
+        if spans_config is not None:
+            recorder = SpanRecorder(engine, spans_config)
+            recorder.attach(system)
+            if spans_config.profile_interval_ns > 0:
+                engine.spawn(
+                    recorder.run_profiler(), name="spans-profiler",
+                    daemon=True,
+                )
+        system.start()
         runtime_ns = engine.run()
     finally:
+        # Subscribers are process-global; detach even on error paths
+        # so a failed trial cannot leak them into the next one.
+        if tracker is not None:
+            tracker.detach()
+        if recorder is not None:
+            recorder.detach()
         system.address_space.page_table.release_flat()
     audit_usage(system)  # ledger invariant: sum(usage) == frames used
     if tracker is not None:
@@ -1012,7 +1012,6 @@ def run_fleet_trial(
     span_table = None
     if recorder is not None:
         span_table = recorder.finalize(runtime_ns)
-        recorder.detach()
 
     stats = system.stats
     tenants = []

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
+from repro import observe
 from repro._units import US
 from repro.errors import ConfigError, SimulationError
 from repro.sim.events import OneShotEvent, Sleep, WaitEvent
@@ -211,27 +212,25 @@ class MemCgroup:
         if limit is None:
             return
         retries = 0
-        psi = system.psi
-        spans = system.spans
         stalled = False
         while self.usage_pages + 1 > limit:
             # Charge-time memstall (kernel psi_memstall_enter around
             # try_to_free_mem_cgroup_pages in try_charge) — entered only
             # when the charge actually has to reclaim.
-            if psi is not None and not stalled:
+            if not stalled:
                 stalled = True
-                psi.stall_begin(self)
+                if (hook := observe.stall_begin) is not None:
+                    hook("memcg_charge", self, None)
             if self._local_reclaim_active:
-                if spans is not None:
-                    spans.seg_begin("memcg_wait", instigator=self.name)
-                    yield WaitEvent(self._local_reclaim_done)
-                    spans.seg_end()
-                else:
-                    yield WaitEvent(self._local_reclaim_done)
+                if (hook := observe.stall_begin) is not None:
+                    hook("memcg_wait", self, None)
+                yield WaitEvent(self._local_reclaim_done)
+                if (hook := observe.stall_end) is not None:
+                    hook("memcg_wait", self, None)
                 continue
             self._local_reclaim_active = True
-            if spans is not None:
-                spans.seg_begin("memcg_run")
+            if (hook := observe.stall_begin) is not None:
+                hook("memcg_run", self, None)
             try:
                 want = min(
                     LOCAL_RECLAIM_BATCH, self.usage_pages + 1 - limit
@@ -240,14 +239,14 @@ class MemCgroup:
                     max(1, want), direct=True
                 )
             finally:
-                if spans is not None:
-                    spans.seg_end()
                 self._local_reclaim_active = False
                 done = self._local_reclaim_done
                 self._local_reclaim_done = OneShotEvent(
                     "memcg-local-reclaim"
                 )
                 done.fire()
+            if (hook := observe.stall_end) is not None:
+                hook("memcg_run", self, None)
             self.stats.local_reclaims += reclaimed
             if reclaimed:
                 retries = 0
@@ -258,14 +257,15 @@ class MemCgroup:
                 break
             if system._evictions_in_flight:
                 yield from system.wait_eviction_batch()
-            elif spans is not None:
-                spans.seg_begin("backoff")
-                yield Sleep(100 * US)
-                spans.seg_end()
             else:
+                if (hook := observe.stall_begin) is not None:
+                    hook("backoff", self, None)
                 yield Sleep(100 * US)
+                if (hook := observe.stall_end) is not None:
+                    hook("backoff", self, None)
         if stalled:
-            psi.stall_end(self)
+            if (hook := observe.stall_end) is not None:
+                hook("memcg_charge", self, None)
 
     # ------------------------------------------------------------------
     # Page ownership

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
+from repro import observe
 from repro.errors import ConfigError, SimulationError
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
@@ -161,7 +162,6 @@ class MemcgPolicy(ReplacementPolicy):
         requester: Optional["MemCgroup"] = getattr(
             system, "_reclaim_requester", None
         )
-        psi = system.psi
         total = 0
         passes = (
             (_weigh_soft, _weigh_low, _weigh_min, _weigh_usage)
@@ -183,8 +183,8 @@ class MemcgPolicy(ReplacementPolicy):
                     cg.stats.stolen_from += got
                     if requester is not None and requester is not cg:
                         requester.stats.stolen_by += got
-                        if psi is not None:
-                            psi.note_steal(requester.index, cg.index, got)
+                        if (hook := observe.reclaim_steal) is not None:
+                            hook(requester.index, cg.index, got)
         return total
 
     # ------------------------------------------------------------------

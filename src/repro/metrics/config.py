@@ -19,7 +19,7 @@ class MetricsConfig:
     Attributes:
         enabled: Master switch.  ``False`` makes :func:`run_trial`
             behave exactly as if no config was passed (no session, no
-            hooks attached, no registry on the result).
+            recorders attached, no registry on the result).
         import_counters: Import the trial-end ``MMStats`` counter
             table (plus swap/rmap totals and occupancy gauges) into
             the registry at finalize, so one dump carries both the

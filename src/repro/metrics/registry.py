@@ -1,7 +1,7 @@
 """A Prometheus-style metrics registry: counters, gauges, histograms.
 
-The registry is the aggregation substrate of ``repro.metrics``: hook
-recorders (:mod:`repro.metrics.hooks`) feed these objects during a
+The registry is the aggregation substrate of ``repro.metrics``:
+recorders subscribed to the observer bus feed these objects during a
 trial, the finished registry pickles back from ``REPRO_JOBS`` worker
 processes inside the trial result, and grid-level registries are built
 by :meth:`MetricsRegistry.merge`.

@@ -6,8 +6,9 @@ a :class:`~repro.metrics.config.MetricsConfig` and the trial's
 ``MemorySystem``, it
 
 - builds a fresh :class:`~repro.metrics.registry.MetricsRegistry`,
-- attaches one passive recorder closure per metrics hook
-  (:meth:`start`), each pre-bound to the child metric it feeds, and
+- subscribes one passive recorder closure per observer-bus event it
+  meters (:meth:`start`), each pre-bound to the child metric it feeds,
+  and
 - at teardown (:meth:`finalize`) detaches every recorder, imports the
   authoritative trial-end counter table, and returns the picklable
   registry that travels back from ``REPRO_JOBS`` workers on
@@ -31,14 +32,19 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.metrics import hooks
+from repro import observe
 from repro.metrics.config import MetricsConfig
 from repro.metrics.registry import MetricsRegistry
 
 #: ``MMStats`` / derived counters exported as ``repro_mm_<name>_total``
 #: at finalize.  The list lives in :mod:`repro.trace.vmstat` so the
 #: trace and metrics planes can never disagree about counter names.
-from repro.trace.vmstat import DERIVED_COUNTERS, GAUGES, MM_COUNTERS
+from repro.trace.vmstat import (
+    DERIVED_COUNTERS,
+    GAUGES,
+    MM_COUNTERS,
+    read_counters,
+)
 
 
 class MetricsSession:
@@ -60,7 +66,6 @@ class MetricsSession:
         self.registry = MetricsRegistry()
         self._recorders: List[Tuple[str, Callable[..., None]]] = []
         self._flushers: List[Callable[[], None]] = []
-        self._attached = False
         self._finalized = False
         self._cache_baseline = (
             cache_baseline
@@ -68,6 +73,7 @@ class MetricsSession:
             else self.snapshot_cache_stats()
         )
         self._build_recorders()
+        self._subscription = observe.Subscription(self._recorders)
 
     @staticmethod
     def snapshot_cache_stats() -> Dict[str, int]:
@@ -139,10 +145,13 @@ class MetricsSession:
         maj_buf = self._buffer_scalars(fault.labels(kind="major"))
         min_buf = self._buffer_scalars(fault.labels(kind="minor"))
 
-        def on_fault(latency_ns, major, _maj=maj_buf.append, _min=min_buf.append):
+        def on_fault(
+            page, latency_ns, major, write,
+            _maj=maj_buf.append, _min=min_buf.append,
+        ):
             (_maj if major else _min)(latency_ns)
 
-        self._recorders.append(("fault_service", on_fault))
+        self._recorders.append(("fault_done", on_fault))
 
         # -- reclaim ----------------------------------------------------
         rmap_chunks = self._buffer_chunks(
@@ -152,7 +161,7 @@ class MetricsSession:
                 unit="nanoseconds",
             ).labels()
         )
-        self._recorders.append(("rmap_walk_block", rmap_chunks.append))
+        self._recorders.append(("rmap_walk", rmap_chunks.append))
 
         scanned = reg.counter(
             "repro_reclaim_scanned_total",
@@ -165,9 +174,11 @@ class MetricsSession:
             unit="pages",
         ).labels()
 
-        def on_scan(n_scanned, n_young, _s=scanned, _y=young):
-            _s.inc(n_scanned)
-            _y.inc(n_young)
+        def on_scan(pages, flags, list_id, _s=scanned, _y=young):
+            _s.inc(len(pages))
+            # Policies that never read the accessed bit report no
+            # flags: every triaged page counts as scanned, none young.
+            _y.inc(sum(flags) if flags is not None else 0)
 
         self._recorders.append(("reclaim_scan", on_scan))
 
@@ -179,7 +190,10 @@ class MetricsSession:
                 unit="pages",
             ).labels()
         )
-        self._recorders.append(("evict_block", evict_buf.append))
+        def on_evict_block(pages, _b=evict_buf.append):
+            _b(len(pages))
+
+        self._recorders.append(("evict_block", on_evict_block))
 
         # -- swap I/O ---------------------------------------------------
         swap = reg.histogram(
@@ -194,20 +208,19 @@ class MetricsSession:
         write_buf = self._buffer_scalars(
             swap.labels(device=device_name, op="write")
         )
-        read_chunks = self._buffer_chunks(
-            swap.labels(device=device_name, op="read")
-        )
         write_chunks = self._buffer_chunks(
             swap.labels(device=device_name, op="write")
         )
 
-        def on_swap_io(latency_ns, is_write, _r=read_buf.append, _w=write_buf.append):
+        def on_swap_io(
+            page, latency_ns, is_write,
+            _r=read_buf.append, _w=write_buf.append,
+        ):
             (_w if is_write else _r)(latency_ns)
 
-        def on_swap_batch(
-            latencies, is_write, _r=read_chunks.append, _w=write_chunks.append
-        ):
-            (_w if is_write else _r)(latencies)
+        def on_swap_batch(pages, latencies, _w=write_chunks.append):
+            # Batched submissions are eviction write-backs.
+            _w(latencies)
 
         self._recorders.append(("swap_io", on_swap_io))
         self._recorders.append(("swap_io_batch", on_swap_batch))
@@ -221,14 +234,15 @@ class MetricsSession:
         ).labels()
         births: Dict[int, int] = {0: 0}  # gen 0 exists from t=0
 
-        def on_gen_created(seq, _b=births, _e=engine):
-            _b[seq] = _e._now
+        def on_gen_step(min_seq, max_seq, created, _b=births, _e=engine,
+                        _h=gen_age):
+            if created:
+                _b[max_seq] = _e._now
+            else:
+                # min_seq just advanced past the retired generation.
+                _h.observe(_e._now - _b.pop(min_seq - 1, 0))
 
-        def on_gen_retired(seq, _b=births, _e=engine, _h=gen_age):
-            _h.observe(_e._now - _b.pop(seq, 0))
-
-        self._recorders.append(("mglru_gen_created", on_gen_created))
-        self._recorders.append(("mglru_gen_retired", on_gen_retired))
+        self._recorders.append(("gen_step", on_gen_step))
 
         # -- engine / threads ------------------------------------------
         events = reg.counter(
@@ -255,7 +269,10 @@ class MetricsSession:
                 unit="nanoseconds",
             ).labels()
         )
-        self._recorders.append(("thread_done", compute_buf.append))
+        def on_thread_done(thread, _b=compute_buf.append):
+            _b(thread.compute_requested_ns)
+
+        self._recorders.append(("thread_done", on_thread_done))
 
         # -- fleet serving lane ----------------------------------------
         fleet_reqs = reg.counter(
@@ -312,20 +329,12 @@ class MetricsSession:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Attach every recorder to its hook (idempotent)."""
-        if self._attached:
-            return
-        for name, recorder in self._recorders:
-            hooks.attach(name, recorder)
-        self._attached = True
+        """Subscribe every recorder to its event (idempotent)."""
+        self._subscription.attach()
 
     def detach(self) -> None:
         """Detach every recorder (idempotent; safe on error paths)."""
-        if not self._attached:
-            return
-        for name, recorder in self._recorders:
-            hooks.detach(name, recorder)
-        self._attached = False
+        self._subscription.detach()
 
     def finalize(
         self,
@@ -367,41 +376,25 @@ class MetricsSession:
     def _import_final_counters(self) -> None:
         """Copy the trial-end counter/gauge table into the registry.
 
-        Reads the same authoritative sources as
-        :meth:`repro.trace.vmstat.VmStatSampler.sample`, so the
-        imported totals match the final vmstat row of a traced trial.
+        Reads the table through
+        :func:`repro.trace.vmstat.read_counters`, so the imported totals
+        match the final vmstat row of a traced trial.
         """
         reg = self.registry
-        system = self.system
-        stats = system.stats
-        values: Dict[str, int] = {
-            name: int(getattr(stats, name)) for name in MM_COUNTERS
-        }
-        values["rmap_walks"] = int(system.rmap.walk_count)
-        dev = system.swap_device.stats
-        values["swap_reads"] = int(dev.reads)
-        values["swap_writes"] = int(dev.writes)
-        values["swap_slot_stores"] = int(system.swap.stores)
-        values["swap_slot_loads"] = int(system.swap.loads)
+        values = read_counters(self.system)
         for name in MM_COUNTERS + DERIVED_COUNTERS:
             reg.counter(
                 f"repro_mm_{name}_total",
                 help=f"Trial-end MM counter '{name}' "
                 "(see repro.trace.vmstat).",
                 unit="nanoseconds" if name.endswith("_ns") else "",
-            ).inc(values[name])
-        gauges: Dict[str, int] = {
-            "free_frames": int(system.frames.n_free),
-            "resident_pages": int(system.policy.resident_count()),
-            "swap_slots_used": int(system.swap.n_used),
-            "cpu_runnable": int(system.cpu.n_runnable),
-        }
+            ).inc(int(values[name]))
         for name in GAUGES:
             reg.gauge(
                 f"repro_mm_{name}",
                 help=f"Trial-end MM gauge '{name}' "
                 "(merge keeps the max across trials).",
-            ).set(gauges[name])
+            ).set(int(values[name]))
 
     _CACHE_COUNTER_HELP = {
         "tracecache_hits": "Disk trace-cache loads served from cache.",
@@ -432,12 +425,15 @@ class MetricsSession:
             ).inc(max(0, int(delta)))
 
     def _import_psi_counters(self) -> None:
-        """Import trial-end PSI group totals when a tracker is
-        installed (``system.psi``); a no-op otherwise, so metrics-on
-        PSI-off registries are unchanged."""
-        tracker = getattr(self.system, "psi", None)
-        if tracker is None:
+        """Import trial-end PSI group totals when a tracker is attached
+        to the observer bus; a no-op otherwise, so metrics-on PSI-off
+        registries are unchanged."""
+        trackers: List[Any] = []
+        if (hook := observe.psi_read) is not None:
+            hook(trackers)
+        if not trackers:
             return
+        tracker = trackers[0]
         reg = self.registry
         stall = reg.counter(
             "repro_psi_memory_stall_us_total",

@@ -19,10 +19,10 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
+from repro import observe
 from repro._units import PTES_PER_REGION
 from repro.errors import SimulationError
 from repro.mm.page import Page
-from repro.trace import tracepoints as _tp
 
 
 class StackedPTEBits:
@@ -309,8 +309,8 @@ class PageTable:
             page._flat_idx = i
         self._flat = flat
         self._flat_stale = False
-        if _tp.mm_pte_flat_rebuild is not None:
-            _tp.mm_pte_flat_rebuild(n, int(run_base.shape[0]))
+        if (hook := observe.pte_flat_rebuild) is not None:
+            hook(n, int(run_base.shape[0]))
         return flat
 
     def release_flat(self) -> None:

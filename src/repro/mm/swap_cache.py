@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro import observe
 from repro.errors import SimulationError, SwapFullError
 from repro.mm.page import Page
-from repro.trace import tracepoints as _tp
 
 
 class ShadowEntry:
@@ -92,8 +92,8 @@ class SwapSpace:
         page.swap_slot = slot
         self._shadows[page.vpn] = shadow
         self.stores += 1
-        if _tp.swap_slot_state is not None:
-            _tp.swap_slot_state(self.n_used, self.n_slots)
+        if (hook := observe.swap_slots) is not None:
+            hook(self.n_used, self.n_slots)
         return slot
 
     def set_shadow(self, page: Page, shadow: ShadowEntry) -> None:
@@ -119,8 +119,8 @@ class SwapSpace:
         self._free_slots.append(page.swap_slot)
         page.swap_slot = None
         self._shadows.pop(page.vpn, None)
-        if _tp.swap_slot_state is not None:
-            _tp.swap_slot_state(self.n_used, self.n_slots)
+        if (hook := observe.swap_slots) is not None:
+            hook(self.n_used, self.n_slots)
 
     def peek_shadow(self, page: Page) -> Optional[ShadowEntry]:
         """Read a page's shadow entry without consuming it."""

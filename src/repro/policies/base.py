@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.metrics import hooks as _mx
+from repro import observe
 from repro.mm.swap_cache import ShadowEntry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -106,8 +106,8 @@ class ReplacementPolicy(abc.ABC):
         system = self.system
         assert system is not None
         costs = system.rmap.walk_costs_ns(n)
-        if _mx.rmap_walk_block is not None:
-            _mx.rmap_walk_block(costs)
+        if (hook := observe.rmap_walk) is not None:
+            hook(costs)
         return int(costs.sum())
 
     def _snapshot_accessed(self, block: Sequence["Page"]) -> List[bool]:

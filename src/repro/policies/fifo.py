@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.metrics import hooks as _mx
+from repro import observe
 from repro.mm.intrusive_list import IntrusiveList
 from repro.mm.page import Page
 from repro.mm.swap_cache import ShadowEntry
@@ -57,10 +57,10 @@ class FIFOPolicy(ReplacementPolicy):
             if not block:
                 break
             attempts += len(block)
-            if _mx.reclaim_scan is not None:
+            if (hook := observe.reclaim_scan) is not None:
                 # FIFO never reads the accessed bit: every triaged page
                 # counts as scanned, none as young.
-                _mx.reclaim_scan(len(block), 0)
+                hook(block, None, 0)
             n_ok, aborted = yield from system.evict_pages(block)
             reclaimed += n_ok
             for page in aborted:

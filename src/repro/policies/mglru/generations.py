@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro import observe
 from repro.errors import SimulationError
-from repro.metrics import hooks as _mx
 from repro.mm.intrusive_list import IntrusiveList
 from repro.mm.page import Page
-from repro.trace import tracepoints as _tp
 
 
 class GenerationLists:
@@ -88,10 +87,8 @@ class GenerationLists:
             return False
         self.max_seq += 1
         self.aging_events += 1
-        if _tp.mglru_gen_step is not None:
-            _tp.mglru_gen_step(self.min_seq, self.max_seq)
-        if _mx.mglru_gen_created is not None:
-            _mx.mglru_gen_created(self.max_seq)
+        if (hook := observe.gen_step) is not None:
+            hook(self.min_seq, self.max_seq, True)
         return True
 
     def try_advance_min_seq(self) -> bool:
@@ -103,10 +100,8 @@ class GenerationLists:
             return False
         self._lists.pop(self.min_seq, None)
         self.min_seq += 1
-        if _tp.mglru_gen_step is not None:
-            _tp.mglru_gen_step(self.min_seq, self.max_seq)
-        if _mx.mglru_gen_retired is not None:
-            _mx.mglru_gen_retired(self.min_seq - 1)
+        if (hook := observe.gen_step) is not None:
+            hook(self.min_seq, self.max_seq, False)
         return True
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.metrics import hooks as _mx
+from repro import observe
 from repro.mm.page import Page, PageKind
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
@@ -45,7 +45,6 @@ from repro.policies.mglru.config import MGLRUParams, ScanMode
 from repro.policies.mglru.generations import GenerationLists
 from repro.policies.mglru.tiers import TierTracker, tier_of
 from repro.sim.events import Compute, WaitWaker, Waker
-from repro.trace import tracepoints as _tp
 
 #: Candidates examined per reclaim invocation before giving up
 #: (livelock guard when every candidate is hot).
@@ -249,7 +248,7 @@ class MGLRUPolicy(ReplacementPolicy):
         system = self.system
         costs = system.costs
         stats = system.stats
-        t0 = system.engine.now if _tp.mglru_age is not None else 0
+        t0 = system.engine.now
         stats.aging_walks += 1
         self._evictions_at_last_walk = stats.evictions
         # Create the new youngest generation *before* scanning (the
@@ -319,10 +318,8 @@ class MGLRUPolicy(ReplacementPolicy):
         stats.extra["aging_regions_skipped"] = (
             stats.extra.get("aging_regions_skipped", 0) + skipped
         )
-        if _tp.mglru_age is not None:
-            _tp.mglru_age(
-                self.gens.max_seq, system.engine.now - t0, scanned
-            )
+        if (hook := observe.aging_walk) is not None:
+            hook(self.gens.max_seq, system.engine.now - t0, scanned)
 
     # ------------------------------------------------------------------
     # Eviction walker
@@ -349,7 +346,6 @@ class MGLRUPolicy(ReplacementPolicy):
         reclaimed = 0
         scanned = 0
         inline_walks = 0
-        tp_scan = _tp.mm_vmscan_scan
         while reclaimed < nr_pages and scanned < SCAN_BUDGET_PER_RECLAIM:
             want = min(
                 RECLAIM_BATCH,
@@ -386,13 +382,11 @@ class MGLRUPolicy(ReplacementPolicy):
             # accessed-bit snapshot instead of a walk per candidate.
             yield Compute(self._walk_block_ns(len(block)))
             flags = self._snapshot_accessed(block)
-            if _mx.reclaim_scan is not None:
-                _mx.reclaim_scan(len(block), sum(flags))
+            if (hook := observe.reclaim_scan) is not None:
+                hook(block, flags, 2)
             cold = []
             hot_regions = []
             for page, young in zip(block, flags):
-                if tp_scan is not None:
-                    tp_scan(page.vpn, int(young), 2)
                 if young:
                     page.accessed = False
                     self._promote_hot_candidate(page)
@@ -429,8 +423,8 @@ class MGLRUPolicy(ReplacementPolicy):
             # One tier up within its generation, not straight to youngest.
             page.tier = min(page.tier + 1, self.params.n_tiers - 1)
             self.gens.insert(page, page.gen_seq)
-            if _tp.mglru_tier_promote is not None:
-                _tp.mglru_tier_promote(page.vpn, page.tier)
+            if (hook := observe.tier_promote) is not None:
+                hook(page)
         else:
             self.gens.insert(page, self.gens.max_seq)
 
@@ -461,7 +455,6 @@ class MGLRUPolicy(ReplacementPolicy):
             return
         yield Compute(scan_ns)
         flat = system.address_space.page_table.flat_view()
-        tp_tier = _tp.mglru_tier_promote
         promoted = 0
         for region in todo:
             system.stats.ptes_scanned_nearby += region.n_ptes
@@ -475,8 +468,8 @@ class MGLRUPolicy(ReplacementPolicy):
                             page.tier = min(
                                 page.tier + 1, self.params.n_tiers - 1
                             )
-                            if tp_tier is not None:
-                                tp_tier(page.vpn, page.tier)
+                            if (hook := observe.tier_promote) is not None:
+                                hook(page)
                         else:
                             self.gens.promote(page)
                         promoted += 1

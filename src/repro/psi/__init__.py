@@ -8,10 +8,10 @@ material for the fleet report's SLO-violation attribution (coalesced
 stall intervals + the global-reclaim steal matrix).
 
 Off by default; a trial opts in by building a :class:`PsiTracker` and
-installing it on its :class:`~repro.mm.system.MemorySystem` before the
+attaching it to the observer bus (:mod:`repro.observe`) before the
 engine runs (the fleet does this when ``run_fleet_trial(..., psi=...)``
-is truthy).  With no tracker installed every instrumented site is a
-single ``is None`` test, and simulation results are bit-identical.
+is truthy).  With no tracker attached every emission site is a single
+``is not None`` test, and simulation results are bit-identical.
 """
 
 from repro.psi.config import PsiConfig

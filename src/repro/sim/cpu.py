@@ -26,8 +26,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple, TYPE_CHECKING
 
+from repro import observe
 from repro.errors import SimulationError
-from repro.trace import tracepoints as _tp
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.engine import Engine
@@ -66,12 +66,6 @@ class CPU:
         self._armed_rate = 0.0
         #: Integral of busy logical CPUs over time (ns·cpus).
         self.busy_cpu_ns = 0.0
-        #: PSI tracker observer slot (None = PSI off; same gate
-        #: discipline as the tracepoint module slots).  The span
-        #: recorder needs no slot here: its sim-time profiler samples
-        #: ``_heap`` directly (pull model), so the submit path carries
-        #: no spans branch at all.
-        self.psi = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,15 +132,8 @@ class CPU:
             else:
                 delay = 0
             self._engine.schedule1(delay, self._on_timer, version)
-        if _tp.sched_runnable is not None:
-            _tp.sched_runnable(n)
-        psi = self.psi
-        if psi is not None:
-            # A job of a memstalled thread (reclaim CPU burn) is
-            # unproductive; anything else keeps the system out of
-            # *full* stall.  ``in_memstall`` cannot change while this
-            # job is in flight — the owning generator is suspended.
-            psi.cpu_begin(thread.in_memstall)
+        if (hook := observe.cpu_dispatch) is not None:
+            hook(thread, n)
 
     def _advance(self) -> None:
         """Accrue service up to the current instant."""
@@ -224,13 +211,8 @@ class CPU:
             else:
                 delay = 0
             self._engine.schedule1(delay, self._on_timer, version)
-        if _tp.sched_runnable is not None:
-            _tp.sched_runnable(n)
-        psi = self.psi
-        if psi is not None:
-            # Completions are accounted before any thread resumes, so
-            # each ``in_memstall`` is still the value it had at submit.
-            for thread in done:
-                psi.cpu_end(thread.in_memstall)
+        # Emitted before any completed thread resumes.
+        if (hook := observe.cpu_done) is not None:
+            hook(done, n)
         for thread in done:
             thread._step(None)

@@ -16,8 +16,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
+from repro import observe
 from repro.errors import DeadlockError, SimulationError
-from repro.metrics import hooks as _mx
 from repro.sim.process import SimThread
 
 
@@ -59,6 +59,10 @@ class Engine:
         self._imm: deque[tuple[int, Callable[[Any], None], Any]] = deque()
         self._now = 0
         self._seq = 0
+        #: Events pushed onto the heap (the rest of ``_seq`` went to
+        #: ``_imm``); with the queue lengths this yields the per-queue
+        #: dispatch counts of a run without counting in the loop.
+        self._n_heap_pushes = 0
         self._threads: list[SimThread] = []
         #: The thread whose generator is currently executing (set at the
         #: top of :meth:`SimThread._step`).  Observability-only — PSI
@@ -86,6 +90,7 @@ class Engine:
         if delay_ns == 0:
             self._imm.append((self._seq, _call0, fn))
             return
+        self._n_heap_pushes += 1
         heapq.heappush(self._queue, (self._now + delay_ns, self._seq, _call0, fn))
 
     def schedule1(
@@ -101,6 +106,7 @@ class Engine:
             # same-instant heap entries by that seq.
             self._imm.append((self._seq, fn, arg))
             return
+        self._n_heap_pushes += 1
         heapq.heappush(self._queue, (self._now + delay_ns, self._seq, fn, arg))
 
     def _inline_ok(self) -> bool:
@@ -172,11 +178,8 @@ class Engine:
         imm_popleft = imm.popleft
         # Sentinel keeps the per-event bound test a plain int compare.
         until = (1 << 62) if until_ns is None else until_ns
+        start = (self._seq, self._n_heap_pushes, len(queue), len(imm))
         try:
-            if _mx.engine_events is not None:
-                # Metered twin of the loop below; the unmetered loop
-                # stays untouched so metrics-off pays nothing here.
-                return self._run_metered(until)
             while True:
                 # Zero-delay events belong to the current instant; the
                 # heap may also hold entries for this instant, so the
@@ -212,60 +215,16 @@ class Engine:
             return self._now
         finally:
             self._running = False
-
-    def _run_metered(self, until: int) -> int:
-        """Line-for-line copy of the :meth:`run` loop that counts event
-        dispatches by queue (imm deque vs time-ordered heap).
-
-        Counting into local ints and flushing once (in ``finally``, so
-        partial counts survive exceptions) keeps the per-event overhead
-        to one integer increment; the dispatch order is identical to
-        the unmetered loop, so metered trials stay bit-identical.
-        """
-        heappop = heapq.heappop
-        queue = self._queue
-        imm = self._imm
-        imm_popleft = imm.popleft
-        n_imm = 0
-        n_heap = 0
-        try:
-            while True:
-                if imm:
-                    if queue and queue[0][0] == self._now and queue[0][1] < imm[0][0]:
-                        _when, _seq, fn, arg = heappop(queue)
-                        n_heap += 1
-                        fn(arg)
-                    else:
-                        _seq, fn, arg = imm_popleft()
-                        n_imm += 1
-                        fn(arg)
-                elif queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return self._now
-                    when, _seq, fn, arg = heappop(queue)
-                    if when < self._now:
-                        raise SimulationError(
-                            "event queue went backwards in time"
-                        )
-                    self._now = when
-                    n_heap += 1
-                    fn(arg)
-                else:
-                    break
-                if self._n_live_foreground == 0:
-                    return self._now
-            blocked = self._live_foreground_threads()
-            if blocked:
-                names = ", ".join(t.name for t in blocked)
-                raise DeadlockError(
-                    f"event queue drained with blocked threads: {names}"
+            if (hook := observe.engine_events) is not None:
+                # Dispatched by this run, per queue: pushed during the
+                # run plus pending at its start, less still pending.
+                seq0, pushes0, heap0, imm0 = start
+                n_heap = self._n_heap_pushes - pushes0 + heap0 - len(queue)
+                n_all = (
+                    self._seq - seq0 + heap0 + imm0 - len(queue) - len(imm)
                 )
-            return self._now
-        finally:
-            hook = _mx.engine_events
-            if hook is not None and (n_imm or n_heap):
-                hook(n_imm, n_heap)
+                if n_all:
+                    hook(n_all - n_heap, n_heap)
 
     def run_for(self, duration_ns: int) -> int:
         """Run for at most ``duration_ns`` more simulated nanoseconds."""

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
+from repro import observe
 from repro.errors import SimulationError
-from repro.metrics import hooks as _mx
 from repro.sim.events import (
     Compute,
     OneShotEvent,
@@ -125,8 +125,8 @@ class SimThread:
                 self._result = stop.value
                 self.finish_time_ns = engine.now
                 engine._thread_finished(self)
-                if _mx.thread_done is not None:
-                    _mx.thread_done(self.compute_requested_ns)
+                if (hook := observe.thread_done) is not None:
+                    hook(self)
                 self.done_event.fire(stop.value)
                 return
             # Exact-type dispatch first (the two commands that dominate

@@ -46,11 +46,6 @@ class SwapDevice(abc.ABC):
 
     def __init__(self) -> None:
         self.stats = SwapDeviceStats()
-        #: Span-recorder observer slot (None = spans off).  Devices
-        #: report their exact (queue, service) time split through it
-        #: *before* sleeping, so span decompositions stay nanosecond-
-        #: exact; gate every use on ``is None``.
-        self.spans = None
 
     @abc.abstractmethod
     def read(self, page: Page) -> Iterator[Any]:

@@ -20,15 +20,14 @@ from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro import observe
 from repro._units import PAGE_SIZE
 from repro.errors import SwapFullError
-from repro.metrics import hooks as _mx
 from repro.mm.costs import ZRAMCosts
 from repro.mm.page import Page
 from repro.sim.events import Compute
 from repro.swapdev.base import SwapDevice
 from repro.swapdev.compression import lzo_rle_compressed_size
-from repro.trace import tracepoints as _tp
 
 
 class ZRAMSwapDevice(SwapDevice):
@@ -67,20 +66,16 @@ class ZRAMSwapDevice(SwapDevice):
         clean swap copies.
         """
         lat = self._latency_ns(self.costs.read_ns)
-        spans = self.spans
-        if spans is not None:
+        if (hook := observe.swap_io_issue) is not None:
             # ZRAM never queues (it runs on the faulting CPU): service
-            # is the nominal decompress cost; any excess wall time the
-            # enclosing frame sees is CPU-contention dilation.
-            spans.note_device(0, lat)
+            # is the nominal decompress cost; any excess wall time is
+            # CPU-contention dilation.
+            hook(0, lat)
         yield Compute(lat)
         self.stats.reads += 1
-        if _tp.swap_io_done is not None:
-            # ZRAM service is CPU work: the traced latency is the nominal
-            # (undilated) compute cost, not wall time under contention.
-            _tp.swap_io_done(page.vpn, lat, 0)
-        if _mx.swap_io is not None:
-            _mx.swap_io(lat, 0)
+        if (hook := observe.swap_io) is not None:
+            # The nominal (undilated) compute cost, not wall time.
+            hook(page, lat, 0)
 
     def write(self, page: Page) -> Iterator[Any]:
         """Swap-out: compress on the reclaiming CPU and store."""
@@ -94,19 +89,16 @@ class ZRAMSwapDevice(SwapDevice):
                 f"> {self.pool_limit_bytes}B)"
             )
         lat = self._latency_ns(self.costs.write_ns)
-        spans = self.spans
-        if spans is not None:
-            spans.note_device(0, lat)
+        if (hook := observe.swap_io_issue) is not None:
+            hook(0, lat)
         yield Compute(lat)
         old = self._stored.pop(page.vpn, 0)
         self.pool_bytes += size - old
         self._stored[page.vpn] = size
         self.pool_peak_bytes = max(self.pool_peak_bytes, self.pool_bytes)
         self.stats.writes += 1
-        if _tp.swap_io_done is not None:
-            _tp.swap_io_done(page.vpn, lat, 1)
-        if _mx.swap_io is not None:
-            _mx.swap_io(lat, 1)
+        if (hook := observe.swap_io) is not None:
+            hook(page, lat, 1)
 
     def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Swap-out a whole eviction block in one CPU burst.
@@ -138,21 +130,17 @@ class ZRAMSwapDevice(SwapDevice):
             sizes.append(size)
             lats.append(self._latency_ns(self.costs.write_ns))
         total = sum(lats)
-        spans = self.spans
-        if spans is not None:
-            spans.note_device(0, total)
+        if (hook := observe.swap_io_issue) is not None:
+            hook(0, total)
         yield Compute(total)
-        tp = _tp.swap_io_done
-        for page, size, lat in zip(pages, sizes, lats):
+        for page, size in zip(pages, sizes):
             old = self._stored.pop(page.vpn, 0)
             self.pool_bytes += size - old
             self._stored[page.vpn] = size
             self.pool_peak_bytes = max(self.pool_peak_bytes, self.pool_bytes)
             self.stats.writes += 1
-            if tp is not None:
-                tp(page.vpn, lat, 1)
-        if _mx.swap_io_batch is not None:
-            _mx.swap_io_batch(lats, 1)
+        if (hook := observe.swap_io_batch) is not None:
+            hook(pages, lats)
 
     def discard(self, page: Page) -> None:
         """Free the stored copy when the system drops a stale slot."""

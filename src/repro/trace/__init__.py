@@ -3,12 +3,12 @@
 The subsystem mirrors the three observability layers Linux MM work
 leans on, scaled to the simulator:
 
-- **Tracepoints** (:mod:`repro.trace.tracepoints`) — named hooks on
-  the MM/policy/swap hot paths (``mm_vmscan_scan``, ``mm_fault_major``,
-  ``swap_io_done``, ``mglru_age``, ...).  Disabled tracepoints are a
-  single ``is not None`` test at the call site, so tracing off costs
-  nothing measurable and changes nothing (traced trials are
-  bit-identical to untraced ones).
+- **Tracepoints** (:mod:`repro.trace.tracepoints`) — named records of
+  MM/policy/swap events (``mm_vmscan_scan``, ``mm_fault_major``,
+  ``swap_io_done``, ``mglru_age``, ...), fed by subscribing to the
+  observer bus (:mod:`repro.observe`).  With tracing off no handler is
+  attached, so each emission site is a single ``is not None`` test and
+  traced trials are bit-identical to untraced ones.
 - **Ring-buffer event capture** (:mod:`repro.trace.ringbuf`,
   :mod:`repro.trace.session`) — ftrace-style bounded buffer with
   overflow accounting.
@@ -21,7 +21,7 @@ derives refault-distance histograms, reclaim cost breakdowns and
 timeline summaries.  ``python -m repro.trace`` drives both ends.
 """
 
-from repro.trace import tracepoints  # noqa: F401  (import order matters)
+from repro.trace import tracepoints
 from repro.trace.analyze import (
     cost_breakdown,
     refault_distance_histogram,
@@ -42,7 +42,7 @@ from repro.trace.export import (
 )
 from repro.trace.ringbuf import EVENT_DTYPE, TraceRingBuffer
 from repro.trace.session import TraceCapture, TraceSession
-from repro.trace.tracepoints import TRACEPOINTS, attach, detach, detach_all
+from repro.trace.tracepoints import TRACEPOINTS
 from repro.trace.vmstat import VmStatSampler, VmStatSeries
 
 __all__ = [
@@ -54,11 +54,8 @@ __all__ = [
     "TraceSession",
     "VmStatSampler",
     "VmStatSeries",
-    "attach",
     "chrome_trace",
     "cost_breakdown",
-    "detach",
-    "detach_all",
     "load_capture",
     "load_capture_registry",
     "refault_distance_histogram",

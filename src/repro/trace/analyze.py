@@ -136,8 +136,7 @@ def cost_breakdown(capture: TraceCapture) -> Dict[str, int]:
     of observed ``swap_io_done`` latencies; ``direct_reclaim_stall`` is
     the counter the fault path accumulates while it waits for frames.
     """
-    # Imported lazily: repro.trace must not pull repro.mm at import time
-    # (every instrumented mm/sim module imports repro.trace.tracepoints).
+    # Imported lazily: the repro.mm package loads the whole simulator.
     from repro.mm.costs import CostModel
 
     final = capture.vmstat.final()

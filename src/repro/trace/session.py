@@ -4,10 +4,11 @@ A :class:`TraceSession` is created for one trial from a
 :class:`~repro.trace.config.TraceConfig` and the trial's
 :class:`~repro.mm.system.MemorySystem`.  It
 
-- attaches one ring-buffer-recording probe to each selected tracepoint
-  (:meth:`start`), stamping events with the engine clock,
+- subscribes one ring-buffer-recording probe per selected tracepoint
+  to the observer bus (:meth:`start`), stamping events with the
+  engine clock,
 - spawns the vmstat sampler as a daemon thread, and
-- at teardown (:meth:`finalize`) detaches every probe and freezes the
+- at teardown (:meth:`finalize`) detaches from the bus and freezes the
   buffers into a picklable :class:`TraceCapture` that travels back from
   ``REPRO_JOBS`` worker processes inside the trial result.
 
@@ -19,10 +20,11 @@ trial is bit-identical to an untraced one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro import observe
 from repro.trace import tracepoints
 from repro.trace.config import TraceConfig
 from repro.trace.ringbuf import TraceRingBuffer
@@ -69,7 +71,7 @@ class TraceSession:
         )
         engine = system.engine
         append = self.ring.append
-        self._probes: List[Tuple[str, Any]] = []
+        probes: Dict[str, Any] = {}
         for name in config.event_names():
             ev_id = tracepoints.EVENT_IDS[name]
 
@@ -85,8 +87,11 @@ class TraceSession:
                 # descriptor call per event; probes are package-internal.
                 _append(_engine._now, _ev, a, b, c)
 
-            self._probes.append((name, probe))
-        self._attached = False
+            probes[name] = probe
+        self._subscription = observe.Subscription(
+            tracepoints.handlers(probes)
+        )
+        self._started = False
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -95,11 +100,10 @@ class TraceSession:
 
     def start(self) -> None:
         """Attach probes, take the t=0 baseline row, spawn the sampler."""
-        if self._attached:
+        if self._started:
             return
-        for name, probe in self._probes:
-            tracepoints.attach(name, probe)
-        self._attached = True
+        self._subscription.attach()
+        self._started = True
         self.sampler.sample()
         self.system.engine.spawn(
             self.sampler.run(), name="vmstat-sampler", daemon=True
@@ -107,11 +111,7 @@ class TraceSession:
 
     def detach(self) -> None:
         """Detach every probe (idempotent; safe on error paths)."""
-        if not self._attached:
-            return
-        for name, probe in self._probes:
-            tracepoints.detach(name, probe)
-        self._attached = False
+        self._subscription.detach()
 
     def finalize(
         self,

@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
+from repro import observe
 from repro.sim.events import Sleep
 
 #: Cumulative (monotonically nondecreasing) counters, by source:
@@ -62,8 +63,9 @@ GAUGES = (
 )
 
 #: PSI stall + workingset counters (column-set **version 2**): read
-#: from ``system.psi`` when a tracker is installed, constant zero
-#: otherwise (still monotone, so the column contract is uniform).
+#: from the PSI tracker attached to the observer bus (the
+#: ``psi_read`` event), constant zero without one (still monotone, so
+#: the column contract is uniform).
 #: Kept out of ``MM_COUNTERS``/``DERIVED_COUNTERS`` — those two tuples
 #: name ``MMStats``/owner attributes that other readers (the metrics
 #: finalizer) iterate with ``getattr``.
@@ -82,6 +84,29 @@ VMSTAT_VERSION = 2
 
 COUNTERS = MM_COUNTERS + DERIVED_COUNTERS + PSI_COUNTERS
 ALL_FIELDS = COUNTERS + GAUGES
+
+
+def read_counters(system: Any) -> Dict[str, int]:
+    """The live value of every :data:`ALL_FIELDS` column of *system*:
+    the one place the counter table is read from its owners."""
+    stats = system.stats
+    dev = system.swap_device.stats
+    row = {name: getattr(stats, name) for name in MM_COUNTERS}
+    row["rmap_walks"] = system.rmap.walk_count
+    row["swap_reads"] = dev.reads
+    row["swap_writes"] = dev.writes
+    row["swap_slot_stores"] = system.swap.stores
+    row["swap_slot_loads"] = system.swap.loads
+    trackers: List[Any] = []
+    if (hook := observe.psi_read) is not None:
+        hook(trackers)
+    totals = trackers[0].system_totals() if trackers else (0,) * 5
+    row.update(zip(PSI_COUNTERS, totals))
+    row["free_frames"] = system.frames.n_free
+    row["resident_pages"] = system.policy.resident_count()
+    row["swap_slots_used"] = system.swap.n_used
+    row["cpu_runnable"] = system.cpu.n_runnable
+    return row
 
 
 @dataclass
@@ -140,36 +165,10 @@ class VmStatSampler:
 
     def sample(self) -> None:
         """Append one snapshot row at the current simulated instant."""
-        system = self._system
-        stats = system.stats
+        self._times.append(self._system.engine.now)
         rows = self._rows
-        self._times.append(system.engine.now)
-        for name in MM_COUNTERS:
-            rows[name].append(getattr(stats, name))
-        rows["rmap_walks"].append(system.rmap.walk_count)
-        dev = system.swap_device.stats
-        rows["swap_reads"].append(dev.reads)
-        rows["swap_writes"].append(dev.writes)
-        rows["swap_slot_stores"].append(system.swap.stores)
-        rows["swap_slot_loads"].append(system.swap.loads)
-        psi = getattr(system, "psi", None)
-        if psi is None:
-            rows["psi_some_total_ns"].append(0)
-            rows["psi_full_total_ns"].append(0)
-            rows["workingset_refault"].append(0)
-            rows["workingset_activate"].append(0)
-            rows["workingset_restore"].append(0)
-        else:
-            some_ns, full_ns, ws_r, ws_a, ws_s = psi.system_totals()
-            rows["psi_some_total_ns"].append(some_ns)
-            rows["psi_full_total_ns"].append(full_ns)
-            rows["workingset_refault"].append(ws_r)
-            rows["workingset_activate"].append(ws_a)
-            rows["workingset_restore"].append(ws_s)
-        rows["free_frames"].append(system.frames.n_free)
-        rows["resident_pages"].append(system.policy.resident_count())
-        rows["swap_slots_used"].append(system.swap.n_used)
-        rows["cpu_runnable"].append(system.cpu.n_runnable)
+        for name, value in read_counters(self._system).items():
+            rows[name].append(value)
 
     def run(self) -> Iterator[Any]:
         """Daemon generator: one row per ``interval_ns`` of sim time.

@@ -23,6 +23,7 @@ import json
 import pathlib
 from typing import Any, Dict, Tuple
 
+from repro import observe
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
 from repro.trace import tracepoints as _tp
@@ -123,13 +124,15 @@ def traced_trial(policy: str, swap: str, ratio: float) -> Tuple[Any, Dict]:
 
         return probe
 
-    for name in _tp.TRACEPOINTS:
-        _tp.attach(name, make_probe(name))
+    probes = observe.Subscription(
+        _tp.handlers({name: make_probe(name) for name in _tp.TRACEPOINTS})
+    )
+    probes.attach()
     try:
         config = SystemConfig(policy=policy, swap=swap, capacity_ratio=ratio)
         result = run_trial("tpch", config, seed=RECLAIM_SEED)
     finally:
-        _tp.detach_all()
+        probes.detach()
     return result, counts
 
 

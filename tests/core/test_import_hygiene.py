@@ -1,10 +1,14 @@
-"""The simulator's entry points import without scipy.
+"""Import boundaries, each checked in a fresh interpreter.
 
 ``scipy.stats`` takes over a second to import and serves only the
 figure statistics in :mod:`repro.core.stats`, which import it on first
 use.  Every fresh process — a CLI command, a figure bench, a grid
 worker — pays for whatever its entry point imports, so each module
-below is imported in a new interpreter and must leave scipy unloaded.
+below must leave scipy unloaded.
+
+The simulator core reaches the observability planes only through the
+observer bus (:mod:`repro.observe`): importing it must load none of
+the plane packages.
 """
 
 import os
@@ -61,3 +65,24 @@ def test_figures_still_resolve_without_scipy():
         "print(len(repro.FIGURES), 'scipy' in sys.modules)"
     )
     assert out == f"{len(repro.FIGURES)} False"
+
+
+SIMULATOR_MODULES = [
+    "repro.mm.system",
+    "repro.sim.engine",
+    "repro.swapdev.ssd",
+    "repro.policies.mglru.policy",
+    "repro.memcg",
+]
+OBSERVER_PLANES = ("repro.trace", "repro.metrics", "repro.psi", "repro.spans")
+
+
+def test_simulator_core_loads_no_observer_plane():
+    out = run_fresh(
+        "import sys, importlib\n"
+        f"for module in {SIMULATOR_MODULES!r}:\n"
+        "    importlib.import_module(module)\n"
+        "print(sorted(m for m in sys.modules\n"
+        f"             if m.startswith({OBSERVER_PLANES!r})))"
+    )
+    assert out == "[]", f"the simulator core loaded {out}"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro._env import int_knob
 from repro.core import tracecache
 
 
@@ -91,3 +94,38 @@ class TestEviction:
         assert tracecache.STATS.evictions >= 1
         assert not first.exists()
         assert tracecache.load("d" * 64, "second") is not None
+
+
+class TestCapKnob:
+    @pytest.fixture(autouse=True)
+    def fresh_parse(self):
+        int_knob.cache_clear()
+        yield
+        int_knob.cache_clear()
+
+    def test_unset_and_integer_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_CACHE_CAP_MB", raising=False)
+        assert tracecache.cache_cap_bytes() == (
+            tracecache.DEFAULT_CAP_MB << 20
+        )
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAP_MB", "3")
+        assert tracecache.cache_cap_bytes() == 3 << 20
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAP_MB", "0")
+        assert tracecache.cache_cap_bytes() == 0
+
+    def test_malformed_value_warns_once_and_keeps_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAP_MB", "lots")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert tracecache.cache_cap_bytes() == (
+                tracecache.DEFAULT_CAP_MB << 20
+            )
+            assert tracecache.cache_cap_bytes() == (
+                tracecache.DEFAULT_CAP_MB << 20
+            )
+        assert len(caught) == 1
+        assert "REPRO_TRACE_CACHE_CAP_MB='lots'" in str(caught[0].message)
+        # A different bad value warns again.
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAP_MB", "1.5")
+        with pytest.warns(UserWarning, match="REPRO_TRACE_CACHE_CAP_MB"):
+            tracecache.cache_cap_bytes()

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import pytest
 
+from repro._env import int_knob
 from repro.fleet import FleetConfig, JsonlSink, TenantShape, run_fleet_trial
 from repro.fleet.report import aggregate_spans, render_markdown
 from repro.fleet.runner import run_sweep
 from repro.fleet.sink import load_rows
+from repro.fleet.trial import spans_sample_env
 from repro.spans import SpansConfig, SpanTable
 
 
@@ -128,6 +131,23 @@ def test_env_knobs_enable_spans_and_sampling(monkeypatch):
         pressured_config(), "mglru", 7, spans=SpansConfig(sample_every=3)
     )
     assert _dumps(row) == _dumps(explicit)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+def test_malformed_spans_sample_warns_once_and_keeps_every_record(
+    monkeypatch, raw
+):
+    int_knob.cache_clear()
+    monkeypatch.setitem(os.environ, "REPRO_SPANS_SAMPLE", raw)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert spans_sample_env() == 1
+            assert spans_sample_env() == 1
+    finally:
+        int_knob.cache_clear()
+    assert len(caught) == 1
+    assert "REPRO_SPANS_SAMPLE" in str(caught[0].message)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 import repro.workloads as workloads_pkg
+from repro import observe
 from repro._units import MS
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
-from repro.trace import tracepoints
 from repro.trace.config import TraceConfig
 from repro.workloads.tpch import TPCHParams, TPCHWorkload
 
@@ -30,10 +30,10 @@ def tiny_tpch_factory():
 
 @pytest.fixture(autouse=True)
 def no_probe_leaks():
-    """Every test starts and ends with all tracepoints disabled."""
-    tracepoints.detach_all()
+    """Every test starts and ends with no observer subscribed."""
+    observe.detach_all()
     yield
-    tracepoints.detach_all()
+    observe.detach_all()
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def traced_trial():
         )
     finally:
         workloads_pkg.WORKLOAD_FACTORIES["tpch"] = prev
-    tracepoints.detach_all()
+    observe.detach_all()
     assert on.trace is not None
     return off, on
 
