@@ -167,7 +167,7 @@ def test_some_accrues_full_only_without_productive_tasks():
     t1, t2 = _Thread(), _Thread()
 
     engine.current_thread = t1
-    tracker.cpu_begin(t1.in_memstall)  # productive work starts at t=0
+    tracker.cpu_begin(t1)  # productive work starts at t=0
 
     engine._now = 1 * MS
     engine.current_thread = t2
@@ -175,7 +175,7 @@ def test_some_accrues_full_only_without_productive_tasks():
     assert t2.in_memstall == 1
 
     engine._now = 2 * MS
-    tracker.cpu_end(t1.in_memstall)  # productive job drains
+    tracker.cpu_end([t1])  # productive job drains
 
     engine._now = 4 * MS
     tracker.stall_end(None)
@@ -194,9 +194,9 @@ def test_memstalled_threads_cpu_time_is_unproductive():
     engine.current_thread = t1
     tracker.stall_begin(None)
     # The stalled thread runs reclaim on-CPU: still fully stalled.
-    tracker.cpu_begin(t1.in_memstall)
+    tracker.cpu_begin(t1)
     engine._now = 2 * MS
-    tracker.cpu_end(t1.in_memstall)
+    tracker.cpu_end([t1])
     tracker.stall_end(None)
     assert tracker.system.some_total_ns == 2 * MS
     assert tracker.system.full_total_ns == 2 * MS
