@@ -5,9 +5,9 @@ policies at a memory-sufficient ratio, six seeds, two workers — end to
 end through ``ExperimentRunner.run_many`` in three fresh subprocesses:
 
 - ``baseline``: the pre-PR path.  ``REPRO_FAST_SEEDS=0`` (one pool task
-  per seed, no seed-major stacking), ``REPRO_DATASET_SHM=0``,
-  ``REPRO_DATASET_MEMO=legacy`` (each worker rebuilds datasets, with
-  only the historical single-slot cache), ``REPRO_TRACE_CACHE=off``.
+  per seed, no seed-major stacking), ``REPRO_DATASET_MEMO=legacy`` (no
+  shared-memory datasets; each worker rebuilds datasets, with only the
+  historical single-slot cache), ``REPRO_TRACE_CACHE=off``.
 - ``cold``: the production fast lane against an empty on-disk trace
   cache — seed-chunk tasks, shared-memory datasets, cache misses that
   populate the cache.
@@ -69,13 +69,11 @@ from baseline_gate import check_baseline
 MODE_ENV = {
     "baseline": {
         "REPRO_FAST_SEEDS": "0",
-        "REPRO_DATASET_SHM": "0",
         "REPRO_DATASET_MEMO": "legacy",
         "REPRO_TRACE_CACHE": "off",
     },
     "cold": {
         "REPRO_FAST_SEEDS": None,
-        "REPRO_DATASET_SHM": None,
         "REPRO_DATASET_MEMO": None,
         # REPRO_TRACE_CACHE is set per round to the round's temp dir.
     },

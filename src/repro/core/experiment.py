@@ -321,14 +321,14 @@ class ExperimentRunner:
         """Build + export the datasets of *configs* over shared memory.
 
         Returns the manifest (content key → segment handle) shipped with
-        every worker task, or ``None`` when sharing is disabled.  The
+        every worker task, or ``None`` in legacy memo mode.  The
         parent builds each distinct workload's dataset once (hitting its
         own memo/disk cache), exports every memoized dataset, and reuses
         segments across calls.
         """
         from repro.workloads import datasets, make_workload, shm
 
-        if not datasets.shm_enabled() or datasets.memo_mode() == "legacy":
+        if datasets.memo_mode() == "legacy":
             return None
         for name in {config.workload for config in configs}:
             if name in self._shm_prepared:

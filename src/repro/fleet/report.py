@@ -341,9 +341,9 @@ def render_markdown(
     Likewise a ``spans`` section (``REPRO_SPANS``/``--spans``) opts
     into a *Critical path* section built from the merged span tables.
     ``lane_stats`` (the accumulator :func:`repro.fleet.runner.run_sweep`
-    fills) opts into a *Serving lanes* section — opt-in because lane
-    trial counts legitimately differ between the scalar and fast lanes
-    while reports of the same sink must not.
+    fills) opts into a *Serving lanes* section — opt-in because the
+    counters describe the process that served the sweep, not the sink,
+    and reports of the same sink must not differ.
     """
     groups = aggregate(rows)
     config = header.get("config", {})
@@ -455,8 +455,6 @@ def render_markdown(
                     "residue (faulting)",
                     "residue share",
                     "batches",
-                    "fast-lane trials",
-                    "scalar trials",
                 ],
                 [
                     [
@@ -464,8 +462,6 @@ def render_markdown(
                         str(residue),
                         f"{share:.2%}",
                         str(int(lane_stats.get("batches", 0))),
-                        str(int(lane_stats.get("fast_trials", 0))),
-                        str(int(lane_stats.get("scalar_trials", 0))),
                     ]
                 ],
             )

@@ -52,24 +52,16 @@ KEY_BATCH = 256
 
 
 class _LaneStats:
-    """Process-global fleet serving-lane telemetry.
+    """Process-global fleet serving telemetry.
 
     Always-on counters (two integer adds per KEY_BATCH), independent of
-    the metrics plane; the ``fleet_batch``/``fleet_lane`` events feed the
-    same numbers into a :class:`~repro.metrics.session.MetricsSession`
-    registry as ``repro_fleet_*`` metrics.  Both serving lanes report
-    identical request/residue counts for the same cell — only the
-    fast/scalar trial counters differ — so surfacing them can never
-    leak lane identity into sink rows or reports.
+    the metrics plane; the ``fleet_batch`` event feeds the same numbers
+    into a :class:`~repro.metrics.session.MetricsSession` registry as
+    ``repro_fleet_*`` metrics.  They never reach sink rows or reports
+    unless asked for (``--lane-stats``).
     """
 
-    __slots__ = (
-        "requests",
-        "residue_requests",
-        "batches",
-        "fast_trials",
-        "scalar_trials",
-    )
+    __slots__ = ("requests", "residue_requests", "batches")
 
     def __init__(self) -> None:
         self.reset()
@@ -78,30 +70,17 @@ class _LaneStats:
         self.requests = 0
         self.residue_requests = 0
         self.batches = 0
-        self.fast_trials = 0
-        self.scalar_trials = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
             "requests": self.requests,
             "residue_requests": self.residue_requests,
             "batches": self.batches,
-            "fast_trials": self.fast_trials,
-            "scalar_trials": self.scalar_trials,
         }
 
 
-#: Serving-lane counters for this process (reset freely in tests).
+#: Serving counters for this process (reset freely in tests).
 LANE_STATS = _LaneStats()
-
-
-def fast_fleet_enabled() -> bool:
-    """The ``REPRO_FAST_FLEET`` env knob (on by default).
-
-    Both lanes emit identical command streams, so rows and reports are
-    byte-identical either way; the toggle exists for A/B verification.
-    """
-    return os.environ.get("REPRO_FAST_FLEET", "1") != "0"
 
 
 def psi_enabled() -> bool:
@@ -236,6 +215,170 @@ def _viol_add(intervals: List[List[int]], start: int, end: int) -> None:
         intervals.append([start, end])
 
 
+class _Burst:
+    """One tenant's wholesale-serving state for :func:`_tenant_body_fast`.
+
+    Holds the flat PTE arrays, the current key batch (numpy arrays plus
+    the arrival list the waiting list takes slices of) and the batch's
+    cached presence classification: ``pres_all`` (every remaining
+    request resident) or ``pres_l`` (per request), valid while
+    ``valid`` holds and the tenant cgroup's ``evict_epoch`` still equals
+    ``epoch``.  ``dense`` records whether the last classification found
+    at least 90% of the remaining requests resident — only then does a
+    re-gather after an eviction pay for itself.
+    """
+
+    __slots__ = (
+        "present",
+        "accessed",
+        "dirty",
+        "stats",
+        "memcg",
+        "c",
+        "quantum",
+        "waiting",
+        "chunks",
+        "arr",
+        "arr_l",
+        "iidx",
+        "tidx",
+        "write_mask",
+        "any_write",
+        "pres_all",
+        "pres_l",
+        "valid",
+        "dense",
+        "epoch",
+    )
+
+    def __init__(
+        self,
+        system: MemorySystem,
+        memcg: MemCgroup,
+        c: int,
+        waiting: List[int],
+        chunks: List[np.ndarray],
+    ) -> None:
+        flat = system.address_space.page_table.flat_view()
+        self.present = flat.present
+        self.accessed = flat.accessed
+        self.dirty = flat.dirty
+        self.stats = system.stats
+        self.memcg = memcg
+        self.c = c
+        self.quantum = system.compute_quantum_ns
+        self.waiting = waiting
+        self.chunks = chunks
+
+    def load(
+        self,
+        arr: np.ndarray,
+        arr_l: List[int],
+        iidx: np.ndarray,
+        tidx: np.ndarray,
+        write_mask: np.ndarray,
+    ) -> None:
+        """Take a new key batch and classify all of it."""
+        self.arr = arr
+        self.arr_l = arr_l
+        self.iidx = iidx
+        self.tidx = tidx
+        self.write_mask = write_mask
+        self.any_write = bool(write_mask.any())
+        self.pres_l = None
+        self.classify(0)
+
+    def classify(self, pos: int) -> None:
+        """Re-read live presence for requests *pos* onwards."""
+        present = self.present
+        seg = present[self.iidx[pos:]] & present[self.tidx[pos:]]
+        self.pres_all = bool(seg.all())
+        if not self.pres_all:
+            if self.pres_l is None:
+                self.pres_l = [True] * self.arr.shape[0]
+            self.pres_l[pos:] = seg.tolist()
+        self.dense = self.pres_all or int(seg.sum()) * 10 >= seg.shape[0] * 9
+        self.epoch = self.memcg.evict_epoch
+        self.valid = True
+
+
+def _tenant_body_fast(burst: _Burst, pos: int, now: int, pending_ns: int) -> int:
+    """Serve the burst starting at request *pos* wholesale; return its length.
+
+    The burst is the maximal run of requests bounded by three prefixes:
+
+    - **arrival**: ``searchsorted`` over the (sorted) arrival times —
+      requests that arrive after *now* end it;
+    - **presence**: both the index and the item page resident, as
+      classified at the burst-start instant — valid for the whole burst
+      because the thread does not yield inside one;
+    - **quantum budget**: how many requests fit before ``pending_ns``
+      reaches the compute quantum (the thread's flush-after check).
+
+    Its accessed/dirty bits are fancy-indexed stores into the flat PTE
+    state, its hits one counter add, its arrivals one slice onto the
+    waiting list (a numpy chunk for long runs, which ``flush_observe``
+    bins with ``Histogram.observe_many``).  The thread adds its compute.
+
+    The classification is cached per key batch.  A cached True goes
+    stale only through an eviction, which uncharges the tenant cgroup
+    and moves its ``evict_epoch``: the cache is then dropped, and a
+    re-gather waits for a run of more than 16 arrived requests over a
+    dense batch, where it amortizes.  A cached False goes stale when
+    the thread's own fault path maps a page back in: a live re-read at
+    *pos* catches that and re-classifies.
+
+    Returns 0 when request *pos* is not resident or the re-gather does
+    not pay; the thread then serves it on its scalar path.
+    """
+    b = burst
+    present = b.present
+    if b.valid and b.memcg.evict_epoch != b.epoch:
+        b.valid = False
+    if b.valid:
+        if not (b.pres_all or b.pres_l[pos]):
+            if not (present[b.iidx[pos]] and present[b.tidx[pos]]):
+                return 0
+            b.classify(pos)
+        k_max = int(b.arr.searchsorted(now, side="right")) - pos
+    else:
+        if not b.dense:
+            return 0
+        k_max = int(b.arr.searchsorted(now, side="right")) - pos
+        if k_max <= 16:
+            return 0
+        b.classify(pos)
+    c = b.c
+    if c:
+        k_q = -(-(b.quantum - pending_ns) // c)  # ceil
+        if k_q < k_max:
+            k_max = k_q
+    if b.pres_all:
+        k = k_max
+    else:
+        pres_l = b.pres_l
+        k = 0
+        while k < k_max and pres_l[pos + k]:
+            k += 1
+        if k == 0:
+            return 0
+    end = pos + k
+    run_t = b.tidx[pos:end]
+    accessed = b.accessed
+    accessed[b.iidx[pos:end]] = True
+    accessed[run_t] = True
+    if b.any_write:
+        b.dirty[run_t[b.write_mask[pos:end]]] = True
+    b.stats.hits += 2 * k
+    if k <= 16:
+        # Short runs flush cheaper through the scalar waiting list than
+        # as numpy chunks; the aggregates are order-independent sums.
+        b.waiting.extend(b.arr_l[pos:end])
+    else:
+        b.chunks.append(b.arr[pos:end])
+    return k
+
+
 def _tenant_body(
     system: MemorySystem,
     tenant: int,
@@ -247,22 +390,19 @@ def _tenant_body(
     item_start: int,
     slo_ns: int,
     state: _TenantState,
-    memcg: Optional[MemCgroup] = None,
+    memcg: MemCgroup,
 ) -> Iterator[Any]:
-    """Open-loop server, scalar reference lane (``REPRO_FAST_FLEET=0``).
+    """Open-loop server thread of one tenant.
 
-    **Burst semantics** (shared with :func:`_tenant_body_fast`, which
-    must emit the *same command stream* for rows to be byte-identical):
-    requests that have already arrived and hit resident pages accrue
-    their per-request compute into ``pending_ns`` instead of yielding
-    one ``Compute`` each; the accrued work flushes as a single
-    ``Compute`` at the first *flush point* —
+    **Burst semantics**: requests that have already arrived and hit
+    resident pages accrue their per-request compute into ``pending_ns``
+    instead of yielding one ``Compute`` each; the accrued work flushes
+    as a single ``Compute`` at the first *flush point* —
 
     - ``pending_ns`` reaches the CPU compute quantum,
     - the next request has not arrived yet (flush, re-check, sleep),
     - a request misses a page (the flush folds the fault's trap
-      overhead, then ``handle_fault(..., charge_overhead=False)`` —
-      the PR 3 compute-merging fast path), or
+      overhead, then ``handle_fault(..., charge_overhead=False)``), or
     - the tenant's request trace ends.
 
     A hit request completes at the flush of the burst containing its
@@ -272,16 +412,24 @@ def _tenant_body(
     around each ``handle_fault`` alone.
 
     Between two flush points the thread never yields, so page presence
-    observed at a burst's start instant holds for the whole burst —
-    that frozen window is exactly what lets the fast lane classify a
-    burst wholesale and is why both lanes serve identical requests at
-    identical instants.
+    observed at a burst's start instant holds for the whole burst.
+    That frozen window lets :func:`_tenant_body_fast` serve a burst
+    wholesale whenever at least two requests have arrived.  Every
+    other request — a single arrival, the request a burst stopped at,
+    one the burst server declines — takes the scalar path below: index
+    page, then item page, one fault helper.  A burst server that always
+    returns 0 therefore yields the same command stream request by
+    request, which is the reference the tests compare against.
     """
     key_rng = system.rng.stream("fleet", "keys", tenant)
     op_rng = system.rng.stream("fleet", "ops", tenant)
-    table = system.address_space.page_table
     engine = system.engine
     stats = system.stats
+    flat = system.address_space.page_table.flat_view()
+    present = flat.present
+    accessed = flat.accessed
+    dirty = flat.dirty
+    pages = flat.pages
     quantum = system.compute_quantum_ns
     overhead = system.costs.fault_overhead_ns
     c = shape.request_compute_ns
@@ -290,12 +438,23 @@ def _tenant_body(
     request_hist = state.request_hist
     # PSI attribution wants the tenant's SLO-violation windows.
     viol = state.viol_intervals
+    # Per-tenant flat-index maps, translated once: the tenant's layout
+    # is static, so per-batch lookups reduce to one gather each.
+    index_map = flat.translate(index_start + np.arange(store.n_index_pages))
+    item_map = flat.translate(item_start + np.arange(store.n_item_pages))
+    assert index_map is not None and item_map is not None, "vpn unmapped"
     pending_ns = 0
-    #: Arrivals of hit requests whose burst has not flushed yet.
+    #: Arrivals of hit requests whose burst has not flushed yet: single
+    #: arrivals and short runs, then long runs as numpy chunks.
+    #: Histogram binning and the SLO count are order-independent sums.
     waiting: List[int] = []
+    chunks: List[np.ndarray] = []
+    burst = _Burst(system, memcg, c, waiting, chunks)
 
     def flush_observe() -> None:
         now = engine.now
+        # All windows of one flush end at ``now``, so their union is
+        # [min violating arrival + slo, now] in any observation order.
         vmin = -1
         for a in waiting:
             latency = now - a
@@ -305,71 +464,105 @@ def _tenant_body(
                 if vmin < 0 or a < vmin:
                     vmin = a
         waiting.clear()
+        if chunks:
+            arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            latencies = now - arr
+            request_hist.observe_many(latencies)
+            late = latencies > slo_ns
+            nv = int(late.sum())
+            state.slo_violations += nv
+            if nv and viol is not None:
+                m = int(arr[late].min())
+                if vmin < 0 or m < vmin:
+                    vmin = m
+            chunks.clear()
         if viol is not None and vmin >= 0:
             _viol_add(viol, vmin + slo_ns, now)
+
+    def fault(j: int, write: bool, pending: int) -> Iterator[Any]:
+        # The flush folds the trap overhead (charge_overhead=False).
+        yield Compute(pending + overhead)
+        flush_observe()
+        page = pages[j]
+        major = page.swap_slot is not None
+        t0 = engine.now
+        yield from system.handle_fault(page, write, charge_overhead=False)
+        fault_hist.observe(engine.now - t0)
+        if major:
+            state.major_faults += 1
+        else:
+            state.minor_faults += 1
 
     issued = 0
     while issued < n_mine:
         batch = min(KEY_BATCH, n_mine - issued)
         keys = sampler.sample(key_rng, batch)
-        is_read = op_rng.random(batch) < shape.read_fraction
-        index_vpns = (index_start + store.index_pages(keys)).tolist()
-        item_vpns = (item_start + store.item_pages(keys)).tolist()
-        arr = arrivals[issued : issued + batch].tolist()
+        write_mask = op_rng.random(batch) >= shape.read_fraction
+        iidx = index_map[store.index_pages(keys)]
+        tidx = item_map[store.item_pages(keys)]
+        arr = arrivals[issued : issued + batch]
+        # Python-list mirrors: plain int indexing is several times
+        # cheaper than numpy scalar indexing.  The scalar path's three
+        # materialize on its first request, so a batch the burst server
+        # serves whole never pays for them.
+        arr_l = arr.tolist()
+        iidx_l: Optional[List[int]] = None
+        burst.load(arr, arr_l, iidx, tidx, write_mask)
         n_residue = 0
-        for i in range(batch):
-            arrival = arr[i]
-            if arrival > engine.now:
+        pos = 0
+        while pos < batch:
+            arrival = arr_l[pos]
+            now = engine.now
+            if arrival > now:
+                # Next request not here yet: flush, re-check, sleep.
                 if pending_ns:
                     yield Compute(pending_ns)
                     pending_ns = 0
                 flush_observe()
                 if arrival > engine.now:
                     yield Sleep(arrival - engine.now)
-            write = not is_read[i]
+                continue
+            if pos + 1 < batch and arr_l[pos + 1] <= now:
+                k = _tenant_body_fast(burst, pos, now, pending_ns)
+                if k:
+                    pos += k
+                    pending_ns += k * c
+                    if c and pending_ns >= quantum:
+                        yield Compute(pending_ns)
+                        pending_ns = 0
+                        flush_observe()
+                    continue
+            # One request: hash-index page, then the item page (YCSB
+            # access shape), each against live presence.
+            if iidx_l is None:
+                iidx_l = iidx.tolist()
+                tidx_l = tidx.tolist()
+                wm_l = write_mask.tolist()
             pending_ns += c
             faulted = False
-            # Hash-index page, then the item page (YCSB access shape).
-            page = table.lookup(index_vpns[i])
-            if page.present:
+            j = iidx_l[pos]
+            if present[j]:
                 stats.hits += 1
-                page.accessed = True
+                accessed[j] = True
             else:
-                yield Compute(pending_ns + overhead)
+                yield from fault(j, False, pending_ns)
                 pending_ns = 0
-                flush_observe()
-                major = page.swap_slot is not None
-                t0 = engine.now
-                yield from system.handle_fault(
-                    page, False, charge_overhead=False
-                )
-                fault_hist.observe(engine.now - t0)
-                if major:
-                    state.major_faults += 1
-                else:
-                    state.minor_faults += 1
                 faulted = True
-            page = table.lookup(item_vpns[i])
-            if page.present:
+            # The item page is read *now*: an index fault above may
+            # have yielded, and reclaim can evict (or the fault path
+            # fill) it meanwhile.
+            j = tidx_l[pos]
+            write = wm_l[pos]
+            if present[j]:
                 stats.hits += 1
-                page.accessed = True
+                accessed[j] = True
                 if write:
-                    page.dirty = True
+                    dirty[j] = True
             else:
-                yield Compute(pending_ns + overhead)
+                yield from fault(j, write, pending_ns)
                 pending_ns = 0
-                flush_observe()
-                major = page.swap_slot is not None
-                t0 = engine.now
-                yield from system.handle_fault(
-                    page, write, charge_overhead=False
-                )
-                fault_hist.observe(engine.now - t0)
-                if major:
-                    state.major_faults += 1
-                else:
-                    state.minor_faults += 1
                 faulted = True
+            pos += 1
             if faulted:
                 n_residue += 1
                 latency = engine.now - arrival
@@ -397,391 +590,6 @@ def _tenant_body(
     return issued
 
 
-def _tenant_body_fast(
-    system: MemorySystem,
-    tenant: int,
-    shape: TenantShape,
-    store: KVStore,
-    sampler: ZipfSampler,
-    arrivals: np.ndarray,
-    index_start: int,
-    item_start: int,
-    slo_ns: int,
-    state: _TenantState,
-    memcg: Optional[MemCgroup] = None,
-) -> Iterator[Any]:
-    """Vectorized serving lane (``REPRO_FAST_FLEET=1``, the default).
-
-    Emits exactly the command stream of :func:`_tenant_body`, computed
-    wholesale.  Per burst-start instant the lane takes one numpy gather
-    over the flat PTE mirror and serves the maximal run of requests
-    bounded by three prefixes:
-
-    - **arrival**: ``searchsorted`` over the (sorted) arrival times —
-      requests that have not arrived yet end the burst (the scalar
-      lane's flush-then-sleep);
-    - **presence**: both the index and item page resident, classified
-      at the burst-start instant — valid for the whole burst because
-      neither lane yields inside one (a page another tenant's reclaim
-      evicts cannot *become* present except through this thread's own
-      fault path);
-    - **quantum budget**: how many requests fit before ``pending_ns``
-      reaches the compute quantum (the scalar lane's flush-after check).
-
-    The run's accessed/dirty bits are batched fancy-indexed stores into
-    the flat PTE state (per segment rather than two per request), hit
-    counters and latencies/SLO checks are
-    vectorized (``Histogram.observe_many`` bins identically to scalar
-    ``observe``), and only the faulting residue drops into the event
-    engine through the same scalar fault path the reference lane uses.
-
-    Two regimes, one classification: the batch-wide presence gather is
-    cached and reused until the tenant cgroup's ``evict_epoch`` moves
-    (every present->absent transition of a tenant page is an uncharge),
-    and single-arrival runs — the *arrival-bound* regime, where numpy
-    call overhead would exceed the scalar lane's dict lookups — serve
-    through Python-list mirrors of the batch arrays instead of numpy
-    scalar indexing.  Both produce the identical command stream; they
-    only move the constant factor.
-    """
-    key_rng = system.rng.stream("fleet", "keys", tenant)
-    op_rng = system.rng.stream("fleet", "ops", tenant)
-    engine = system.engine
-    stats = system.stats
-    flat = system.address_space.page_table.flat_view()
-    present = flat.present
-    accessed = flat.accessed
-    dirty = flat.dirty
-    pages = flat.pages
-    quantum = system.compute_quantum_ns
-    overhead = system.costs.fault_overhead_ns
-    c = shape.request_compute_ns
-    n_mine = int(arrivals.shape[0])
-    fault_hist = state.fault_hist
-    request_hist = state.request_hist
-    viol = state.viol_intervals
-    # Per-tenant flat-index maps, translated once: the tenant's layout
-    # is static, so per-batch lookups reduce to one gather each.
-    index_map = flat.translate(index_start + np.arange(store.n_index_pages))
-    item_map = flat.translate(item_start + np.arange(store.n_item_pages))
-    assert index_map is not None and item_map is not None, "vpn unmapped"
-    pending_ns = 0
-    #: Hit requests awaiting their burst flush: single arrivals from
-    #: the scalar regime, arrival-slice chunks from vector serves.
-    #: Histogram binning and the SLO count are order-independent sums,
-    #: so observing the scalars before the chunks matches scalar-lane
-    #: arrival order bin-for-bin.
-    w_scalar: List[int] = []
-    w_chunks: List[np.ndarray] = []
-
-    def flush_observe() -> None:
-        now = engine.now
-        # All windows of one flush end at ``now``, so their union is
-        # [min violating arrival + slo, now] regardless of the scalar/
-        # chunk observation order.
-        vmin = -1
-        if w_scalar:
-            for a in w_scalar:
-                latency = now - a
-                request_hist.observe(latency)
-                if latency > slo_ns:
-                    state.slo_violations += 1
-                    if vmin < 0 or a < vmin:
-                        vmin = a
-            w_scalar.clear()
-        if w_chunks:
-            arr = (
-                w_chunks[0]
-                if len(w_chunks) == 1
-                else np.concatenate(w_chunks)
-            )
-            latencies = now - arr
-            request_hist.observe_many(latencies)
-            nv = int((latencies > slo_ns).sum())
-            state.slo_violations += nv
-            if nv and viol is not None:
-                m = int(arr[latencies > slo_ns].min())
-                if vmin < 0 or m < vmin:
-                    vmin = m
-            w_chunks.clear()
-        if viol is not None and vmin >= 0:
-            _viol_add(viol, vmin + slo_ns, now)
-
-    issued = 0
-    while issued < n_mine:
-        batch = min(KEY_BATCH, n_mine - issued)
-        keys = sampler.sample(key_rng, batch)
-        is_read = op_rng.random(batch) < shape.read_fraction
-        iidx = index_map[store.index_pages(keys)]
-        tidx = item_map[store.item_pages(keys)]
-        arr = arrivals[issued : issued + batch]
-        write_mask = ~is_read
-        any_write = bool(write_mask.any())
-        # Python-list mirrors for the scalar (arrival-bound) paths:
-        # plain int indexing is several times cheaper than numpy scalar
-        # indexing.  ``arr_l`` is hot at the loop top either way; the
-        # others are touched only by the scalar/residue paths and
-        # materialize on first use, so a fully vector-served batch
-        # never pays for them.
-        arr_l = arr.tolist()
-        iidx_l: Optional[List[int]] = None
-        tidx_l: Optional[List[int]] = None
-        wm_l: Optional[List[bool]] = None
-        # One batch-wide classification, reused until this cgroup's
-        # eviction epoch moves.  A cached True can only go stale through
-        # an eviction (which bumps the epoch via uncharge); a cached
-        # False can also go stale through this thread's *own* fault path
-        # mapping the page back in — stale-False is safe because the
-        # residue path re-reads live presence and serves the request as
-        # a hit when both pages turn out resident.  ``pres_all`` (the
-        # common steady-state: every page of the batch resident) elides
-        # both the list mirror and the per-request run scan.
-        pres_a = present[iidx] & present[tidx]
-        pres_all = bool(pres_a.all())
-        pres_l = None if pres_all else pres_a.tolist()
-        pres_valid = True
-        # Re-gathering after an invalidation only pays when the batch
-        # is densely resident (long vector runs).  Sparse batches —
-        # heavy-pressure cells where a classification serves only a
-        # couple of requests before the next fault — serve scalar-style
-        # off live reads instead.
-        gather_ok = pres_all or int(pres_a.sum()) * 10 >= batch * 9
-        epoch = memcg.evict_epoch if memcg is not None else 0
-        n_residue = 0
-        pos = 0
-        while pos < batch:
-            now = engine.now
-            if arr_l[pos] > now:
-                # Next request not here yet: flush, re-check, sleep.
-                if pending_ns:
-                    yield Compute(pending_ns)
-                    pending_ns = 0
-                flush_observe()
-                arrival = arr_l[pos]
-                if arrival > engine.now:
-                    yield Sleep(arrival - engine.now)
-                continue
-            if (
-                pres_valid
-                and memcg is not None
-                and memcg.evict_epoch != epoch
-            ):
-                # An eviction moved the epoch: just drop the cache.
-                # Single pending requests serve off two live scalar
-                # reads; a whole-batch re-gather waits for the next
-                # multi-request run, where it amortizes — eviction-heavy
-                # (arrival-bound) cells never have one and would
-                # otherwise re-gather every few requests.
-                pres_valid = False
-            end = pos + 1
-            if (
-                end < batch
-                and arr_l[end] <= now
-                and (pres_valid or gather_ok)
-            ):
-                k_arr = int(arr.searchsorted(now, side="right")) - pos
-            else:
-                # Single arrival — or an invalidated sparse batch,
-                # where the burst serves scalar-style and the exact
-                # burst length (a searchsorted per request) is unused.
-                k_arr = 1
-            if k_arr == 1 or (not pres_valid and k_arr <= 16):
-                # Arrival-bound regime: one request pending (or a short
-                # burst with the classification invalidated — serving
-                # it request-by-request off live reads beats paying a
-                # whole-batch re-gather for a handful of requests).
-                # Scalar ops beat numpy call overhead on length-1
-                # segments.
-                if iidx_l is None:
-                    iidx_l = iidx.tolist()
-                    tidx_l = tidx.tolist()
-                    wm_l = write_mask.tolist()
-                if pres_valid:
-                    hit = pres_all or pres_l[pos]
-                else:
-                    hit = bool(
-                        present[iidx_l[pos]] and present[tidx_l[pos]]
-                    )
-                if hit:
-                    t_j = tidx_l[pos]
-                    accessed[iidx_l[pos]] = True
-                    accessed[t_j] = True
-                    if wm_l[pos]:
-                        dirty[t_j] = True
-                    stats.hits += 2
-                    pending_ns += c
-                    w_scalar.append(arr_l[pos])
-                    pos += 1
-                    if c and pending_ns >= quantum:
-                        yield Compute(pending_ns)
-                        pending_ns = 0
-                        flush_observe()
-                    continue
-                k = 0
-            else:
-                k_max = k_arr
-                if c:
-                    k_q = -(-(quantum - pending_ns) // c)  # ceil
-                    if k_q < k_max:
-                        k_max = k_q
-                if not pres_valid:
-                    # A long run over a dense batch makes the re-gather
-                    # pay off (gather_ok held, or we would not be here).
-                    seg = present[iidx[pos:]] & present[tidx[pos:]]
-                    pres_all = bool(seg.all())
-                    if pres_all:
-                        pres_l = None
-                    else:
-                        if pres_l is None:
-                            pres_l = [True] * batch
-                        pres_l[pos:] = seg.tolist()
-                    gather_ok = (
-                        pres_all
-                        or int(seg.sum()) * 10 >= seg.shape[0] * 9
-                    )
-                    epoch = memcg.evict_epoch if memcg is not None else 0
-                    pres_valid = True
-                if pres_all:
-                    k = k_max
-                else:
-                    k = 0
-                    while k < k_max and pres_l[pos + k]:
-                        k += 1
-            if k > 0:
-                seg_i = iidx[pos : pos + k]
-                run_t = tidx[pos : pos + k]
-                accessed[seg_i] = True
-                accessed[run_t] = True
-                if any_write:
-                    dirty[run_t[write_mask[pos : pos + k]]] = True
-                stats.hits += 2 * k
-                pending_ns += k * c
-                if k <= 16:
-                    # Tiny runs flush cheaper through the scalar
-                    # waiting list than as numpy chunks (concatenate +
-                    # observe_many overhead beats a short loop).  The
-                    # aggregates are order-independent, so routing is
-                    # bin-identical either way.
-                    w_scalar.extend(arr_l[pos : pos + k])
-                else:
-                    w_chunks.append(arr[pos : pos + k])
-                pos += k
-                if c and pending_ns >= quantum:
-                    yield Compute(pending_ns)
-                    pending_ns = 0
-                    flush_observe()
-                    continue
-                if k == k_arr or pos >= batch:
-                    continue
-            # Residue request at *pos*: arrived, under quantum budget,
-            # classified non-resident (possibly stale-False) — the
-            # scalar per-request path, verbatim, against live presence.
-            if iidx_l is None:
-                iidx_l = iidx.tolist()
-                tidx_l = tidx.tolist()
-                wm_l = write_mask.tolist()
-            arrival = arr_l[pos]
-            write = wm_l[pos]
-            pending_ns += c
-            faulted = False
-            i_j = iidx_l[pos]
-            t_j = tidx_l[pos]
-            if present[i_j]:
-                stats.hits += 1
-                accessed[i_j] = True
-            else:
-                yield Compute(pending_ns + overhead)
-                pending_ns = 0
-                flush_observe()
-                page = pages[i_j]
-                major = page.swap_slot is not None
-                t0 = engine.now
-                yield from system.handle_fault(
-                    page, False, charge_overhead=False
-                )
-                fault_hist.observe(engine.now - t0)
-                if major:
-                    state.major_faults += 1
-                else:
-                    state.minor_faults += 1
-                faulted = True
-            # The item page is re-read *now*: an index fault above may
-            # have yielded, and reclaim can evict (or the fault path
-            # fill) it meanwhile — same re-check instant as scalar.
-            if present[t_j]:
-                stats.hits += 1
-                accessed[t_j] = True
-                if write:
-                    dirty[t_j] = True
-            else:
-                yield Compute(pending_ns + overhead)
-                pending_ns = 0
-                flush_observe()
-                page = pages[t_j]
-                major = page.swap_slot is not None
-                t0 = engine.now
-                yield from system.handle_fault(
-                    page, write, charge_overhead=False
-                )
-                fault_hist.observe(engine.now - t0)
-                if major:
-                    state.major_faults += 1
-                else:
-                    state.minor_faults += 1
-                faulted = True
-            if faulted:
-                n_residue += 1
-                latency = engine.now - arrival
-                request_hist.observe(latency)
-                if latency > slo_ns:
-                    state.slo_violations += 1
-                    if viol is not None:
-                        _viol_add(viol, arrival + slo_ns, engine.now)
-            else:
-                # Stale-False: both pages live after all (this thread
-                # faulted them in earlier in the batch) — a plain hit.
-                w_scalar.append(arrival)
-                if c and pending_ns >= quantum:
-                    yield Compute(pending_ns)
-                    pending_ns = 0
-                    flush_observe()
-            pos += 1
-            # A stale-False residue means the cached classification is
-            # actively lying — this thread's own faults flipped pages
-            # False->True (the epoch guard only sees evictions).
-            # Re-classify the rest of the batch so a cold stretch goes
-            # back to vector serving instead of crawling
-            # request-by-request.  A genuinely faulting residue skips
-            # the refresh: its cache entry was *right*, and fault-heavy
-            # (arrival-bound) cells would pay one gather per fault for
-            # nothing.
-            if not faulted and pos < batch:
-                seg = present[iidx[pos:]] & present[tidx[pos:]]
-                pres_all = bool(seg.all())
-                if pres_all:
-                    pres_l = None
-                else:
-                    if pres_l is None:
-                        pres_l = [True] * batch
-                    pres_l[pos:] = seg.tolist()
-                gather_ok = (
-                    pres_all or int(seg.sum()) * 10 >= seg.shape[0] * 9
-                )
-                epoch = memcg.evict_epoch if memcg is not None else 0
-                pres_valid = True
-        issued += batch
-        LANE_STATS.requests += batch
-        LANE_STATS.residue_requests += n_residue
-        LANE_STATS.batches += 1
-        if (hook := observe.fleet_batch) is not None:
-            hook(batch, n_residue)
-    if pending_ns:
-        yield Compute(pending_ns)
-    flush_observe()
-    state.requests_done = issued
-    return issued
-
-
 # ----------------------------------------------------------------------
 # The trial
 # ----------------------------------------------------------------------
@@ -790,16 +598,10 @@ def run_fleet_trial(
     config: FleetConfig,
     policy_name: str,
     seed: int,
-    fast_fleet: Optional[bool] = None,
     psi: Any = None,
     spans: Any = None,
 ) -> Dict[str, Any]:
     """One fleet execution on a fresh simulator; returns a sink row.
-
-    ``fast_fleet`` selects the request-serving lane (vectorized vs
-    scalar reference); ``None`` reads ``REPRO_FAST_FLEET`` (default
-    on).  Both lanes emit identical command streams, so the returned
-    row is byte-identical either way.
 
     ``psi`` opts the trial into kernel-style pressure-stall accounting:
     ``True`` (or a :class:`~repro.psi.PsiConfig`) attaches a
@@ -817,8 +619,6 @@ def run_fleet_trial(
     ``REPRO_SPANS_SAMPLE`` controlling head sampling of retained
     records.
     """
-    if fast_fleet is None:
-        fast_fleet = fast_fleet_enabled()
     if psi is None:
         psi = psi_enabled()
     psi_config: Optional[PsiConfig]
@@ -939,13 +739,6 @@ def run_fleet_trial(
         for state in states:
             state.viol_intervals = []
     w_sum = sum(weights)
-    body = _tenant_body_fast if fast_fleet else _tenant_body
-    if fast_fleet:
-        LANE_STATS.fast_trials += 1
-    else:
-        LANE_STATS.scalar_trials += 1
-    if (hook := observe.fleet_lane) is not None:
-        hook(bool(fast_fleet))
     for i in range(n):
         if shares[i] == 0:
             continue
@@ -957,7 +750,7 @@ def run_fleet_trial(
         shape = config.shape_of(i)
         data = shape_data[config.shape_index(i)]
         system.spawn_app_thread(
-            body(
+            _tenant_body(
                 system,
                 i,
                 shape,
@@ -1035,8 +828,8 @@ def run_fleet_trial(
             # The tenant's exact critical-path decomposition: segment
             # sums over *all* of its faults.  ``total_ns`` equals the
             # tenant's measured fault-latency sum exactly (the root
-            # span brackets the same ``handle_fault`` call the serving
-            # lanes time) — the identity the spans tests pin.
+            # span brackets the same ``handle_fault`` call the tenant
+            # thread times) — the identity the spans tests pin.
             entry["spans"] = {
                 "faults": span_table.group_faults.get(cg.name, 0),
                 "total_ns": span_table.group_total_ns.get(cg.name, 0),

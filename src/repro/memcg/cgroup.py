@@ -98,7 +98,7 @@ class MemCgroup:
     #: Bumped on every uncharge.  Every present->absent transition of a
     #: page charged here goes through an uncharge (eviction frees the
     #: frame with ``uncharge=page.memcg``), so an unchanged epoch means
-    #: no page of this cgroup lost residency — the fleet fast lane's
+    #: no page of this cgroup lost residency — the fleet burst server's
     #: licence to reuse a cached batch-wide presence classification.
     evict_epoch: int = field(default=0, compare=False, repr=False)
 

@@ -290,7 +290,7 @@ class MetricsSession:
             reg.histogram(
                 "repro_fleet_residue_per_batch",
                 help="Faulting (residue) requests per fleet key batch — "
-                "the fast lane's vectorization quality: 0 means the "
+                "the burst server's vectorization quality: 0 means the "
                 "whole batch served from resident pages.",
                 unit="requests",
             ).labels()
@@ -308,21 +308,6 @@ class MetricsSession:
             _b(n_residue)
 
         self._recorders.append(("fleet_batch", on_fleet_batch))
-
-        fleet_trials = reg.counter(
-            "repro_fleet_trials_total",
-            help="Fleet trials by serving lane (fast = vectorized "
-            "REPRO_FAST_FLEET lane, scalar = reference lane).",
-            unit="trials",
-            labelnames=("lane",),
-        )
-        lane_fast = fleet_trials.labels(lane="fast")
-        lane_scalar = fleet_trials.labels(lane="scalar")
-
-        def on_fleet_lane(fast, _f=lane_fast, _s=lane_scalar):
-            (_f if fast else _s).inc()
-
-        self._recorders.append(("fleet_lane", on_fleet_lane))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -75,7 +75,6 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     "thread_done": ("thread",),
     # -- fleet serving lane ----------------------------------------------
     "fleet_batch": ("n_requests", "n_residue"),
-    "fleet_lane": ("fast",),
     # -- PSI plane outputs -----------------------------------------------
     "psi_sample": ("group", "some_avg10_pct_x100", "full_avg10_pct_x100"),
     "psi_trigger": ("group", "is_full", "stall_us"),

@@ -23,11 +23,10 @@ with a four-level lookup:
 Datasets are plain ``{name: numpy array}`` dicts (all read-only), which
 is what makes them npz- and shm-portable.
 
-Knobs: ``REPRO_DATASET_MEMO`` (default on; ``0``/``legacy`` reverts to
+Knob: ``REPRO_DATASET_MEMO`` (default on; ``0``/``legacy`` reverts to
 the pre-fast-lane behavior — a single-slot cache for workloads that
 historically had one, nothing for the rest, and no shm/disk lookups —
-kept as the honest baseline for ``benchmarks/bench_grid.py``) and
-``REPRO_DATASET_SHM`` (default on; gates level 2).
+kept as the honest baseline for ``benchmarks/bench_grid.py``).
 """
 
 from __future__ import annotations
@@ -120,10 +119,6 @@ def memo_mode() -> str:
     return "legacy" if raw in ("0", "off", "legacy") else "full"
 
 
-def shm_enabled() -> bool:
-    return os.environ.get("REPRO_DATASET_SHM", "1").strip() != "0"
-
-
 def install_shm_manifest(
     manifest: Dict[str, ShmDatasetHandle]
 ) -> None:
@@ -170,13 +165,12 @@ def get_dataset(spec: DatasetSpec, build: Callable[[], Dataset]) -> Dataset:
         return hit[1]
     MEMO_STATS.misses += 1
     arrays = None
-    if shm_enabled():
-        handle = _SHM_MANIFEST.get(key)
-        if handle is not None:
-            try:
-                arrays = attach_dataset(handle)
-            except (FileNotFoundError, ValueError):
-                arrays = None
+    handle = _SHM_MANIFEST.get(key)
+    if handle is not None:
+        try:
+            arrays = attach_dataset(handle)
+        except (FileNotFoundError, ValueError):
+            arrays = None
     if arrays is None:
         arrays = tracecache.load(key, spec.name)
     if arrays is None:

@@ -147,16 +147,7 @@ class TestRunnerParallel:
             base_seed=900,
         )
 
-    def test_parallel_equals_serial_shm_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_SHM", "1")
-        with ExperimentRunner(jobs=1) as runner:
-            serial = runner.run(self._config())
-        with ExperimentRunner(jobs=2) as runner:
-            parallel = runner.run(self._config())
-        assert serial.trials == parallel.trials
-
-    def test_parallel_equals_serial_shm_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_SHM", "0")
+    def test_parallel_equals_serial_shm_on(self):
         with ExperimentRunner(jobs=1) as runner:
             serial = runner.run(self._config())
         with ExperimentRunner(jobs=2) as runner:

@@ -1,10 +1,13 @@
-"""The vectorized fleet serving lane: fast == scalar, bit for bit.
+"""The fleet serving lane: golden rows and the scalar-path reference.
 
-The contract under test (see ``_tenant_body_fast``): with
-``REPRO_FAST_FLEET`` on, every fleet trial must emit the *same command
-stream* as the scalar reference lane, so sink rows, reports, and lane
-telemetry are byte-identical across lanes — the toggle may only move
-wall-clock time.
+The contract under test (see ``_tenant_body``): the tenant thread serves
+arrived resident bursts through the burst server ``_tenant_body_fast``
+and every other request on its scalar path, and both emit the *same
+command stream*.  Every cell is checked twice: against the golden
+digest recorded while the old vectorized and scalar lanes both shipped
+and agreed (:mod:`tests.fleet.golden`), and byte for byte against the
+same trial with the burst server stubbed out, which serves every request
+on the scalar path.
 """
 
 from __future__ import annotations
@@ -14,147 +17,95 @@ import json
 import pytest
 
 from repro import observe
-from repro.fleet import FleetConfig, JsonlSink, TenantShape, run_fleet_trial
+from repro.fleet import JsonlSink, run_fleet_trial
 from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import WINDOW_PER_JOB, run_sweep
 from repro.fleet.sink import load_rows
-from repro.fleet.trial import LANE_STATS, fast_fleet_enabled
+from repro.fleet.trial import LANE_STATS
+from tests.fleet import golden
+from tests.fleet.golden import small_config
 
 
-def small_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_tenants=3,
-        shapes=(TenantShape(n_items=40), TenantShape(n_items=80)),
-        capacity_ratio=0.5,
-        n_requests_total=1200,
-        arrival_rate_rps=60_000.0,
-        slo_ns=2_000_000,
-        n_cpus=2,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
+def assert_cell(key: str) -> None:
+    """The cell's row matches its golden digest and the scalar reference."""
+    row = golden.run_cell(key)
+    want = golden.load()[key]
+    got = golden.summary(row)
+    # Headline numbers first, so a mismatch names what moved.
+    for field in want:
+        assert got[field] == want[field], field
+    assert golden.dumps(row) == golden.dumps(golden.reference_cell(key))
 
 
-def _rows_identical(config: FleetConfig, policy: str, seed: int = 7) -> None:
-    scalar = run_fleet_trial(config, policy, seed, fast_fleet=False)
-    fast = run_fleet_trial(config, policy, seed, fast_fleet=True)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(
-        fast, sort_keys=True
-    )
-
-
-@pytest.mark.parametrize("swap", ["ssd", "zram"])
-@pytest.mark.parametrize(
-    "policy", ["clock", "mglru", "fifo", "random", "opt"]
-)
+@pytest.mark.parametrize("swap", golden.SWAPS)
+@pytest.mark.parametrize("policy", golden.POLICIES)
 def test_fast_lane_rows_byte_identical(policy, swap):
-    _rows_identical(small_config(swap=swap), policy)
+    assert_cell(golden.lane_key(policy, swap, limited=False))
 
 
-@pytest.mark.parametrize("swap", ["ssd", "zram"])
-@pytest.mark.parametrize(
-    "policy", ["clock", "mglru", "fifo", "random", "opt"]
-)
+@pytest.mark.parametrize("swap", golden.SWAPS)
+@pytest.mark.parametrize("policy", golden.POLICIES)
 def test_fast_lane_rows_byte_identical_with_limits(policy, swap):
-    _rows_identical(small_config(swap=swap, limit_ratio=0.7), policy)
+    assert_cell(golden.lane_key(policy, swap, limited=True))
 
 
 def test_fast_lane_serving_bound_regime_identical():
-    # Compressed arrivals + zero per-request compute: the whole trace is
-    # pending at t~0, driving the fast lane's long vector runs (the
-    # regime the fleet bench gates on) instead of the arrival-bound
-    # request-at-a-time paths above.
-    config = small_config(
-        shapes=(
-            TenantShape(
-                n_items=60,
-                read_fraction=1.0,
-                request_compute_ns=0,
-            ),
-        ),
-        capacity_ratio=0.95,
-        arrival_rate_rps=1e10,
-    )
-    _rows_identical(config, "mglru")
+    # The whole trace is pending at t~0, driving long burst-server runs
+    # instead of the arrival-bound request-at-a-time path.
+    assert_cell("serving-bound")
 
 
 def test_fast_lane_protection_rings_identical():
     # Soft limits + low/min protection drive the memcg policy's
-    # multi-pass reclaim ordering; the lanes must agree there too.
-    config = small_config(
-        capacity_ratio=0.4,
-        limit_ratio=0.8,
-        soft_limit_ratio=0.5,
-        low_ratio=0.2,
-        min_ratio=0.1,
-    )
-    _rows_identical(config, "mglru")
+    # multi-pass reclaim ordering; the paths must agree there too.
+    assert_cell("protection-rings")
 
 
 def test_fast_lane_report_and_registry_identical():
     config = small_config(swap="zram", limit_ratio=0.7)
     header = {"format": "repro.fleet/v2", "config": config.to_dict()}
-    by_lane = {}
-    for lane, fast in (("scalar", False), ("fast", True)):
+
+    def render():
         rows = [
-            run_fleet_trial(config, policy, 7, fast_fleet=fast)
-            for policy in ("clock", "mglru")
+            run_fleet_trial(config, policy, 7) for policy in ("clock", "mglru")
         ]
-        by_lane[lane] = (
-            render_markdown(header, rows),
-            build_registry(rows).to_dict(),
-        )
-    assert by_lane["scalar"][0] == by_lane["fast"][0]
-    assert json.dumps(by_lane["scalar"][1], sort_keys=True) == json.dumps(
-        by_lane["fast"][1], sort_keys=True
+        return render_markdown(header, rows), build_registry(rows).to_dict()
+
+    report, registry = render()
+    with golden.scalar_reference():
+        ref_report, ref_registry = render()
+    assert report == ref_report
+    assert json.dumps(registry, sort_keys=True) == json.dumps(
+        ref_registry, sort_keys=True
     )
 
 
-def test_fast_fleet_env_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_FAST_FLEET", raising=False)
-    assert fast_fleet_enabled()
-    monkeypatch.setenv("REPRO_FAST_FLEET", "0")
-    assert not fast_fleet_enabled()
-    monkeypatch.setenv("REPRO_FAST_FLEET", "1")
-    assert fast_fleet_enabled()
-
-
-def test_lane_stats_and_metrics_hooks(monkeypatch):
-    counts = {"requests": 0, "residue": 0, "lanes": []}
+def test_lane_stats_and_metrics_hooks():
+    counts = {"requests": 0, "residue": 0}
 
     def on_batch(n_requests, n_residue):
         counts["requests"] += n_requests
         counts["residue"] += n_residue
 
-    def on_lane(fast):
-        counts["lanes"].append(bool(fast))
-
     config = small_config(n_requests_total=600)
     observe.attach("fleet_batch", on_batch)
-    observe.attach("fleet_lane", on_lane)
     try:
         LANE_STATS.reset()
-        run_fleet_trial(config, "clock", 7, fast_fleet=True)
-        run_fleet_trial(config, "clock", 7, fast_fleet=False)
+        run_fleet_trial(config, "clock", 7)
+        first = dict(counts)
+        with golden.scalar_reference():
+            run_fleet_trial(config, "clock", 7)
     finally:
         observe.detach("fleet_batch", on_batch)
-        observe.detach("fleet_lane", on_lane)
-    # Both lanes classify the same requests as residue (the counters
-    # are lane-independent by construction), and the env-independent
-    # LANE_STATS mirror matches the hook-fed totals.
-    assert counts["requests"] == 2 * config.n_requests_total
-    assert counts["lanes"] == [True, False]
-    assert LANE_STATS.requests == counts["requests"]
-    assert LANE_STATS.residue_requests == counts["residue"]
-    assert LANE_STATS.fast_trials == 1
-    assert LANE_STATS.scalar_trials == 1
+    # The burst server and the scalar path classify the same requests
+    # as residue, and the LANE_STATS mirror matches the hook-fed totals.
+    assert first["requests"] == config.n_requests_total
+    assert counts == {k: 2 * v for k, v in first.items()}
     snap = LANE_STATS.snapshot()
-    assert snap["batches"] > 0
-    # Default lane resolution follows the env knob.
-    monkeypatch.setenv("REPRO_FAST_FLEET", "0")
-    LANE_STATS.reset()
-    run_fleet_trial(config, "clock", 7)
-    assert LANE_STATS.scalar_trials == 1 and LANE_STATS.fast_trials == 0
+    assert snap.pop("requests") == counts["requests"]
+    assert snap.pop("residue_requests") == counts["residue"]
+    assert snap.pop("batches") > 0
+    assert snap == {}
 
 
 def test_sweep_window_refill_matches_serial(tmp_path):

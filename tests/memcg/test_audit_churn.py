@@ -1,9 +1,9 @@
-"""The charge-ledger invariant *during* a fast-lane fleet trial.
+"""The charge-ledger invariant *during* a fleet trial.
 
 ``run_fleet_trial`` audits once at trial end.  The sharper claim — the
 sum of per-cgroup usage equals the global allocated-frame count at
-*every event boundary*, even while the vectorized serving lane batches
-accesses and tenants churn each other's pages out — is exercised here
+*every event boundary*, even while the burst server batches accesses
+and tenants churn each other's pages out — is exercised here
 by a read-only auditor daemon that re-audits the ledger at every
 eviction epoch it observes moving, and fails loudly if churn never
 happens at all.
@@ -73,7 +73,7 @@ def _install_auditor(monkeypatch) -> dict:
 @pytest.mark.parametrize("policy", ["clock", "mglru"])
 def test_ledger_holds_at_eviction_epochs_fast_lane(monkeypatch, policy):
     counts = _install_auditor(monkeypatch)
-    row = run_fleet_trial(churn_config(), policy, 11, fast_fleet=True)
+    row = run_fleet_trial(churn_config(), policy, 11)
     # The cell really churned: tenant epochs moved many times and the
     # auditor checked the ledger at those boundaries without raising.
     assert counts["epoch_moves"] >= 20
@@ -85,10 +85,10 @@ def test_auditor_daemon_is_order_neutral():
     """The mid-run audits are pure reads: an audited trial's row must
     be byte-identical to the plain trial's."""
     config = churn_config()
-    plain = run_fleet_trial(config, "mglru", 11, fast_fleet=True)
+    plain = run_fleet_trial(config, "mglru", 11)
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_auditor(mp)
-        audited = run_fleet_trial(config, "mglru", 11, fast_fleet=True)
+        audited = run_fleet_trial(config, "mglru", 11)
     assert counts["audits"] > 0
     assert json.dumps(audited, sort_keys=True) == json.dumps(
         plain, sort_keys=True

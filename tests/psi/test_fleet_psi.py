@@ -1,10 +1,10 @@
-"""PSI through the fleet: purity, lane identity, attribution,
+"""PSI through the fleet: purity, golden rows, attribution,
 determinism, and the report/registry surfaces.
 
 The load-bearing contract: PSI is a pure observer.  A PSI-off trial
 carries no ``psi`` keys and is byte-identical to the same trial with
-PSI on once the ``psi`` sections are stripped — on both serving lanes,
-serially, under ``REPRO_JOBS`` pools, and across interrupt+resume.
+PSI on once the ``psi`` sections are stripped — on the burst server
+and the scalar path alike, serially, under ``REPRO_JOBS`` pools, and across interrupt+resume.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import run_sweep
 from repro.fleet.sink import load_rows
 from repro.psi import PsiConfig
+from tests.fleet import golden
 
 
 def pressured_config(**overrides) -> FleetConfig:
@@ -69,12 +70,12 @@ def test_psi_on_row_minus_psi_equals_psi_off(policy):
 
 
 def test_psi_on_lanes_byte_identical():
-    """Fast and scalar serving lanes agree on the psi sections too
-    (violation windows, stall intervals, steal matrix — everything)."""
-    config = pressured_config()
-    scalar = run_fleet_trial(config, "mglru", 7, fast_fleet=False, psi=True)
-    fast = run_fleet_trial(config, "mglru", 7, fast_fleet=True, psi=True)
-    assert _dumps(scalar) == _dumps(fast)
+    """The PSI-on row matches its golden digest and the scalar-path
+    reference, psi sections included (violation windows, stall
+    intervals, steal matrix — everything)."""
+    row = golden.run_cell("psi-pressured")
+    assert golden.summary(row) == golden.load()["psi-pressured"]
+    assert _dumps(row) == _dumps(golden.reference_cell("psi-pressured"))
 
 
 def test_psi_accepts_a_config_instance():
@@ -206,12 +207,10 @@ def test_serving_lanes_section_is_opt_in(psi_rows):
         "requests": 1000,
         "residue_requests": 40,
         "batches": 4,
-        "fast_trials": 2,
-        "scalar_trials": 1,
     }
     with_lanes = render_markdown(header, psi_rows, lane_stats=lane_stats)
     assert "## Serving lanes" in with_lanes
-    assert "| 1000 | 40 | 4.00% | 4 | 2 | 1 |" in with_lanes
+    assert "| 1000 | 40 | 4.00% | 4 |" in with_lanes
     assert "## Serving lanes" not in render_markdown(header, psi_rows)
 
 

@@ -1,4 +1,4 @@
-"""Spans through the fleet: purity, per-tenant exactness, lane and
+"""Spans through the fleet: purity, per-tenant exactness, golden rows,
 pool identity, env knobs, and the report surface.
 
 The headline acceptance property: each tenant's span-table fault time
@@ -21,6 +21,7 @@ from repro.fleet.runner import run_sweep
 from repro.fleet.sink import load_rows
 from repro.fleet.trial import spans_sample_env
 from repro.spans import SpansConfig, SpanTable
+from tests.fleet import golden
 
 
 def pressured_config(**overrides) -> FleetConfig:
@@ -71,12 +72,9 @@ def test_spans_on_row_minus_spans_equals_spans_off(policy):
 
 
 def test_spans_on_lanes_byte_identical():
-    config = pressured_config()
-    scalar = run_fleet_trial(
-        config, "mglru", 7, fast_fleet=False, spans=True
-    )
-    fast = run_fleet_trial(config, "mglru", 7, fast_fleet=True, spans=True)
-    assert _dumps(scalar) == _dumps(fast)
+    row = golden.run_cell("spans-pressured")
+    assert golden.summary(row) == golden.load()["spans-pressured"]
+    assert _dumps(row) == _dumps(golden.reference_cell("spans-pressured"))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.workloads import datasets, shm
 def clean_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_DATASET_MEMO", raising=False)
-    monkeypatch.delenv("REPRO_DATASET_SHM", raising=False)
     datasets.clear_process_state()
     tracecache.STATS.reset()
     yield
@@ -150,17 +149,3 @@ class TestSharedMemory:
         out = datasets.get_dataset(s, build)
         assert build.calls == 2
         np.testing.assert_array_equal(out["data"], np.arange(16))
-
-    def test_shm_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_SHM", "0")
-        build = CountingBuilder()
-        server = shm.ShmServer()
-        try:
-            s = spec(params="disabled")
-            handle = server.export(s.key, {"data": np.zeros(4)})
-            datasets.install_shm_manifest({s.key: handle})
-            out = datasets.get_dataset(s, build)
-            assert build.calls == 1
-            np.testing.assert_array_equal(out["data"], np.arange(16))
-        finally:
-            server.shutdown()
