@@ -23,33 +23,17 @@ from repro.core.seedmajor import (
     run_cell_trials,
 )
 from repro.sim.rng import RngTree
-from repro.workloads.pagerank import PageRankParams, PageRankWorkload
-from repro.workloads.tpch import TPCHParams, TPCHWorkload
+from tests.core import golden, multiseed_golden as pinned
 
-SEEDS = [41, 42, 43]
+SEEDS = pinned.SEEDS
+GOLDEN = pinned.load()
 
 
 @pytest.fixture(autouse=True)
 def tiny_workloads(monkeypatch):
-    monkeypatch.setitem(
-        workloads_pkg.WORKLOAD_FACTORIES,
-        "pagerank",
-        lambda: PageRankWorkload(
-            PageRankParams(
-                n_vertices=4096, avg_degree=6, n_iterations=3, n_threads=4
-            )
-        ),
-    )
-    monkeypatch.setitem(
-        workloads_pkg.WORKLOAD_FACTORIES,
-        "tpch",
-        lambda: TPCHWorkload(
-            TPCHParams(
-                table_pages=96, hash_pages=96, shuffle_pages=64,
-                n_threads=4, n_queries=1,
-            )
-        ),
-    )
+    factories = workloads_pkg.WORKLOAD_FACTORIES
+    monkeypatch.setitem(factories, "pagerank", pinned.tiny_pagerank)
+    monkeypatch.setitem(factories, "tpch", golden.tiny_tpch)
 
 
 def config(policy="clock", ratio=0.5):
@@ -74,6 +58,9 @@ class TestBitIdentity:
         reference = scalar_reference("pagerank", cfg, monkeypatch)
         fast = run_cell_trials("pagerank", cfg, SEEDS)
         assert fast == reference
+        assert pinned.summaries(fast) == GOLDEN["cells"][
+            pinned.cell_key("pagerank", policy)
+        ]
 
     def test_fallback_workload_matches_scalar(self, monkeypatch):
         """TPC-H has per-trial dynamic draws, declares no plan, and must
@@ -81,7 +68,9 @@ class TestBitIdentity:
         cfg = config("mglru")
         assert plan_cell("tpch", SEEDS) is None
         reference = scalar_reference("tpch", cfg, monkeypatch)
-        assert run_cell_trials("tpch", cfg, SEEDS) == reference
+        trials = run_cell_trials("tpch", cfg, SEEDS)
+        assert trials == reference
+        assert pinned.summaries(trials) == GOLDEN["cells"]["tpch-mglru"]
 
     def test_knob_disables_stacking(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_SEEDS", "0")
@@ -162,6 +151,10 @@ class TestRunnerParallel:
             parallel = runner.run_many(configs)
         for a, b in zip(serial, parallel):
             assert a.trials == b.trials
+        assert {
+            pinned.cell_key("pagerank", r.policy): pinned.summaries(r.trials)
+            for r in parallel
+        } == GOLDEN["run_many"]
 
     def test_close_releases_pool_and_segments(self):
         runner = ExperimentRunner(jobs=2)
