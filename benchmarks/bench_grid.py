@@ -4,11 +4,12 @@ Runs a reference grid — a dataset-heavy PageRank under both headline
 policies at a memory-sufficient ratio, six seeds, two workers — end to
 end through ``ExperimentRunner.run_many`` in three fresh subprocesses:
 
-- ``baseline``: the pre-PR path.  ``REPRO_FAST_SEEDS=0`` (one pool task
-  per seed, no seed-major stacking), ``REPRO_DATASET_MEMO=legacy`` (no
-  shared-memory datasets; each worker rebuilds datasets, with only the
-  historical single-slot cache), ``REPRO_TRACE_CACHE=off``.
-- ``cold``: the production fast lane against an empty on-disk trace
+- ``baseline``: a grid runner built here, without the runner's dataset
+  sharing: a plain ``ProcessPoolExecutor`` that runs ``run_trial`` once
+  per (cell, seed), with ``REPRO_TRACE_CACHE=off``.  Each worker builds
+  every dataset it needs once, in its own process memo; nothing is
+  shared over shared memory or the disk cache.
+- ``cold``: ``ExperimentRunner.run_many`` against an empty on-disk trace
   cache — seed-chunk tasks, shared-memory datasets, cache misses that
   populate the cache.
 - ``warm``: the same command against the now-populated cache — the
@@ -17,7 +18,8 @@ end through ``ExperimentRunner.run_many`` in three fresh subprocesses:
 All three modes must simulate *bit-identical* results: the parent
 hashes every trial of every cell and fails on any digest mismatch.  It
 also asserts the trace cache actually worked — the cold run must record
-misses and stores, the warm run hits and zero misses.
+misses and stores, the warm run hits and zero misses — and that no
+child printed a ``Traceback`` to stderr.
 
 Regression gate: the committed ``BENCH_grid.json`` is the baseline.
 
@@ -64,25 +66,12 @@ import time
 
 from baseline_gate import check_baseline
 
-#: Env forced per mode.  ``None`` means "remove": the child then runs
-#: the production defaults (fast seeds on, shm on, full memo).
-MODE_ENV = {
-    "baseline": {
-        "REPRO_FAST_SEEDS": "0",
-        "REPRO_DATASET_MEMO": "legacy",
-        "REPRO_TRACE_CACHE": "off",
-    },
-    "cold": {
-        "REPRO_FAST_SEEDS": None,
-        "REPRO_DATASET_MEMO": None,
-        # REPRO_TRACE_CACHE is set per round to the round's temp dir.
-    },
-}
-MODE_ENV["warm"] = MODE_ENV["cold"]
+MODES = ("baseline", "cold", "warm")
 
 
 def _grid_args(args: argparse.Namespace) -> list[str]:
     return [
+        "--jobs", str(args.jobs),
         "--workloads", args.workloads,
         "--policies", args.policies,
         "--swap", args.swap,
@@ -98,6 +87,27 @@ def _grid_args(args: argparse.Namespace) -> list[str]:
 # ---------------------------------------------------------------------------
 # Child: run the grid in *this* process and print a JSON summary.
 # ---------------------------------------------------------------------------
+
+def _baseline_grid(configs: list, jobs: int) -> list:
+    """Every cell's trials, one pool task per (cell, seed), with no
+    dataset sharing between workers."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core.experiment import run_trial
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        cells = [
+            [
+                pool.submit(
+                    run_trial, config.workload, config.system, seed,
+                    config.trace, config.metrics,
+                )
+                for seed in config.seeds()
+            ]
+            for config in configs
+        ]
+        return [[future.result() for future in cell] for cell in cells]
+
 
 def _child(args: argparse.Namespace) -> int:
     from repro.core import tracecache
@@ -129,14 +139,17 @@ def _child(args: argparse.Namespace) -> int:
     ]
     tracecache.STATS.reset()
     t0 = time.perf_counter()
-    with ExperimentRunner() as runner:  # jobs from REPRO_JOBS
-        results = runner.run_many(configs)
+    if args.child == "baseline":
+        cells = _baseline_grid(configs, args.jobs)
+    else:
+        with ExperimentRunner(jobs=args.jobs) as runner:
+            cells = [result.trials for result in runner.run_many(configs)]
     wall = time.perf_counter() - t0
 
     digest = hashlib.sha256()
     major = minor = trials = 0
-    for result in results:
-        for trial in result.trials:
+    for cell in cells:
+        for trial in cell:
             digest.update(
                 json.dumps(trial.to_dict(), sort_keys=True).encode()
             )
@@ -150,7 +163,7 @@ def _child(args: argparse.Namespace) -> int:
         "major_faults": major,
         "minor_faults": minor,
         "cache": tracecache.STATS.snapshot(),
-        "jobs": runner.jobs,
+        "jobs": args.jobs,
     }))
     return 0
 
@@ -162,25 +175,21 @@ def _child(args: argparse.Namespace) -> int:
 def _run_mode(
     mode: str, cache_dir: str, args: argparse.Namespace
 ) -> dict:
-    """One fresh-process grid run; returns the child's JSON summary."""
+    """One fresh-process grid run; returns the child's JSON summary,
+    with the child's stderr under ``"stderr"``."""
     env = dict(os.environ)
-    env["REPRO_JOBS"] = str(args.jobs)
-    for name, value in MODE_ENV[mode].items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    if mode in ("cold", "warm"):
-        env["REPRO_TRACE_CACHE"] = cache_dir
+    env["REPRO_TRACE_CACHE"] = "off" if mode == "baseline" else cache_dir
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", *_grid_args(args)],
+        [sys.executable, __file__, "--child", mode, *_grid_args(args)],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         print(proc.stdout, file=sys.stderr)
         print(proc.stderr, file=sys.stderr)
         raise RuntimeError(f"{mode} child exited {proc.returncode}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    summary["stderr"] = proc.stderr
+    return summary
 
 
 def _verify_round(summaries: dict) -> list[str]:
@@ -196,6 +205,11 @@ def _verify_round(summaries: dict) -> list[str]:
         problems.append(f"warm run was not fully cached: {warm}")
     if any(s["cache"]["errors"] for s in summaries.values()):
         problems.append("trace cache recorded I/O errors")
+    for mode, summary in summaries.items():
+        if "Traceback" in summary["stderr"]:
+            problems.append(
+                f"{mode} child printed a traceback:\n{summary['stderr']}"
+            )
     return problems
 
 
@@ -234,14 +248,14 @@ def _check_baseline(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=MODES, help=argparse.SUPPRESS)
     parser.add_argument(
         "--rounds", type=int, default=2,
         help="grid runs per mode; best wall time wins (default 2)",
     )
     parser.add_argument(
         "--jobs", type=int, default=2,
-        help="REPRO_JOBS for every mode (default 2)",
+        help="pool workers for every mode (default 2)",
     )
     parser.add_argument("--workloads", default="pagerank-grid")
     parser.add_argument("--policies", default="clock,mglru")
@@ -258,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         "--iterations", type=int, default=1,
         help="pagerank-grid iterations; few iterations over a large "
         "graph keeps the dataset-to-simulation cost ratio at full-grid "
-        "scale (default 2)",
+        "scale (default 1)",
     )
     parser.add_argument(
         "--ratio", type=float, default=1.1,
@@ -308,12 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"grid {grid}; {rounds} round(s) x 3 fresh-process modes...",
           flush=True)
 
-    walls: dict = {mode: [] for mode in ("baseline", "cold", "warm")}
+    walls: dict = {mode: [] for mode in MODES}
     summaries: dict = {}
     problems: list[str] = []
     for rnd in range(rounds):
         with tempfile.TemporaryDirectory(prefix="bench-grid-cache-") as tmp:
-            for mode in ("baseline", "cold", "warm"):
+            for mode in MODES:
                 summary = _run_mode(mode, tmp, args)
                 walls[mode].append(summary["wall_seconds"])
                 summaries[mode] = summary
@@ -340,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
             "cache": summary["cache"],
         }
     base, cold, warm = (
-        modes[m]["best_wall_seconds"] for m in ("baseline", "cold", "warm")
+        modes[m]["best_wall_seconds"] for m in MODES
     )
     report = {
         "grid": {

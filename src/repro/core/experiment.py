@@ -12,16 +12,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro._env import int_knob
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.results import ExperimentResult, TrialResult
-from repro.core.seedmajor import (
-    chunk_seeds,
-    fast_seeds_enabled,
-    run_cell_trials,
-)
 from repro.metrics.config import MetricsConfig
 from repro.metrics.session import MetricsSession
 from repro.mm.system import MemorySystem
@@ -33,7 +28,8 @@ from repro.spans.recorder import SpanRecorder
 from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.trace.config import TraceConfig
 from repro.trace.session import TraceSession
-from repro.workloads import make_workload
+from repro.workloads import datasets, make_workload
+from repro.workloads.base import chunk_bounds
 
 
 def build_system(
@@ -75,9 +71,6 @@ def run_trial(
     trace: Optional[TraceConfig] = None,
     metrics: Optional[MetricsConfig] = None,
     spans: Optional[SpansConfig] = None,
-    *,
-    _seed_cell: Optional[Any] = None,
-    _seed_row: int = 0,
 ) -> TrialResult:
     """One full workload execution on a fresh simulator.
 
@@ -93,12 +86,6 @@ def run_trial(
     (:mod:`repro.observe`) and are passive, so traced/metered/spanned
     trials are bit-identical to bare ones; every subscriber detaches
     when the trial ends, also when it fails.
-
-    ``_seed_cell``/``_seed_row`` are the seed-major fast lane's private
-    context (see :mod:`repro.core.seedmajor`): this trial is row
-    *_seed_row* of the cell, its workload reads the pre-stacked trace
-    rows and its PTE bits live in the cell's stacked arrays.  Results
-    are bit-identical with or without a cell bound.
     """
     engine = Engine()
     rng = RngTree(seed)
@@ -109,16 +96,10 @@ def run_trial(
     if metrics is not None and metrics.enabled:
         cache_baseline = MetricsSession.snapshot_cache_stats()
     workload = make_workload(workload_name)
-    if _seed_cell is not None:
-        workload.bind_seed_major(_seed_cell, _seed_row)
     dataset_rng = RngTree(DATASET_SEED).subtree("dataset", workload_name)
     footprint = workload.prepare(dataset_rng)
     capacity = max(64, int(footprint * system_config.capacity_ratio))
     system = build_system(engine, rng, system_config, capacity)
-    if _seed_cell is not None:
-        system.address_space.page_table.use_stacked_row(
-            _seed_cell.bits(), _seed_row
-        )
     session: Optional[TraceSession] = None
     mx_session: Optional[MetricsSession] = None
     recorder: Optional[SpanRecorder] = None
@@ -141,8 +122,6 @@ def run_trial(
                     daemon=True,
                 )
         workload.setup(system)
-        if _seed_cell is not None:
-            _seed_cell.verify_layout(system.address_space, _seed_row)
         system.start()
         workload.spawn(system)
         runtime_ns = engine.run()
@@ -218,6 +197,51 @@ def run_trial(
     )
 
 
+def run_cell_trials(
+    workload_name: str,
+    system_config: SystemConfig,
+    seeds: Sequence[int],
+    trace: Optional[TraceConfig] = None,
+    metrics: Optional[MetricsConfig] = None,
+    shm_manifest: Optional[Dict[str, Any]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> List[TrialResult]:
+    """Run the trials of one cell (or one seed chunk of it), in seed
+    order: ``[run_trial(...) for seed in seeds]``.
+
+    This is also the pool task under ``REPRO_JOBS``: it first installs
+    the parent's shared-memory dataset manifest (if any), so the
+    trials attach the parent's datasets instead of rebuilding them.
+    ``progress(row, seed)`` is called before each trial.
+    """
+    if shm_manifest:
+        datasets.install_shm_manifest(shm_manifest)
+    trials = []
+    for row, seed in enumerate(seeds):
+        if progress is not None:
+            progress(row, seed)
+        trials.append(
+            run_trial(workload_name, system_config, seed, trace, metrics)
+        )
+    return trials
+
+
+def chunk_seeds(seeds: Sequence[int], jobs: int) -> List[List[int]]:
+    """Split *seeds* into at most *jobs* contiguous chunks (cell tasks).
+
+    Contiguous chunks keep seed order within each task, so assembling
+    task results in submission order reproduces the serial seed order.
+    """
+    seeds = list(seeds)
+    n_chunks = max(1, min(len(seeds), jobs))
+    chunks = []
+    for i in range(n_chunks):
+        lo, hi = chunk_bounds(len(seeds), n_chunks, i)
+        if hi > lo:
+            chunks.append(seeds[lo:hi])
+    return chunks
+
+
 def _jobs_from_env() -> int:
     """Parse the ``REPRO_JOBS`` knob (default 1 = serial).
 
@@ -258,7 +282,7 @@ class ExperimentRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
         self.telemetry = telemetry
         #: Shared-memory dataset server (parent side); created lazily on
-        #: the first parallel fast-lane dispatch, torn down by close().
+        #: the first parallel dispatch, torn down by close().
         self._shm_server: Optional[Any] = None
         self._shm_prepared: set = set()
 
@@ -321,15 +345,12 @@ class ExperimentRunner:
         """Build + export the datasets of *configs* over shared memory.
 
         Returns the manifest (content key → segment handle) shipped with
-        every worker task, or ``None`` in legacy memo mode.  The
-        parent builds each distinct workload's dataset once (hitting its
-        own memo/disk cache), exports every memoized dataset, and reuses
-        segments across calls.
+        every worker task.  The parent builds each distinct workload's
+        dataset once (hitting its own memo/disk cache), exports every
+        memoized dataset, and reuses segments across calls.
         """
-        from repro.workloads import datasets, make_workload, shm
+        from repro.workloads import shm
 
-        if datasets.memo_mode() == "legacy":
-            return None
         for name in {config.workload for config in configs}:
             if name in self._shm_prepared:
                 continue
@@ -361,8 +382,7 @@ class ExperimentRunner:
         return result
 
     def _submit_cell(
-        self, config: ExperimentConfig, seeds: List[int],
-        manifest: Optional[Dict[str, Any]],
+        self, config: ExperimentConfig, manifest: Optional[Dict[str, Any]]
     ) -> List[Future]:
         """Fan one cell's seeds over the pool as seed-chunk tasks."""
         pool = self._ensure_pool()
@@ -371,7 +391,7 @@ class ExperimentRunner:
                 run_cell_trials, config.workload, config.system, chunk,
                 config.trace, config.metrics, manifest,
             )
-            for chunk in chunk_seeds(seeds, self.jobs)
+            for chunk in chunk_seeds(config.seeds(), self.jobs)
         ]
 
     def _collect_cell(
@@ -388,106 +408,62 @@ class ExperimentRunner:
                 )
         return trials
 
+    def _run_inline(self, config: ExperimentConfig) -> List[TrialResult]:
+        """Run one cell's trials in this process."""
+
+        def progress(row: int, _seed: int) -> None:
+            self._note(f"{config.label} trial {row + 1}/{config.n_trials}")
+
+        trials = run_cell_trials(
+            config.workload, config.system, config.seeds(), config.trace,
+            config.metrics, progress=progress,
+        )
+        for trial in trials:
+            self._observe(config, trial)
+        return trials
+
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         """Run (or fetch from cache) all trials of one cell."""
-        key = self._key(config)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        seeds = list(config.seeds())
-        trials: List[TrialResult] = []
-        if self.jobs > 1 and len(seeds) > 1 and fast_seeds_enabled():
-            # Fast lane: seed-chunk tasks sharing datasets over shm.
-            manifest = self._dataset_manifest([config])
-            trials = self._collect_cell(
-                config, self._submit_cell(config, seeds, manifest)
-            )
-        elif self.jobs > 1 and len(seeds) > 1:
-            # Historical scheduling (REPRO_FAST_SEEDS=0): one task per
-            # seed, no dataset sharing beyond each worker's own state.
-            futures = [
-                self._ensure_pool().submit(
-                    run_trial, config.workload, config.system, seed,
-                    config.trace, config.metrics,
-                )
-                for seed in seeds
-            ]
-            for i, future in enumerate(futures):
-                trial = future.result()
-                trials.append(trial)
-                self._observe(config, trial)
-                self._note(f"{config.label} trial {i + 1}/{config.n_trials}")
-        else:
-            def progress(row: int, _seed: int) -> None:
-                self._note(
-                    f"{config.label} trial {row + 1}/{config.n_trials}"
-                )
-
-            trials = run_cell_trials(
-                config.workload, config.system, seeds, config.trace,
-                config.metrics, None, progress=progress,
-            )
-            for trial in trials:
-                self._observe(config, trial)
-        result = self._assemble(config, trials)
-        self._cache[key] = result
-        return result
+        return self.run_many([config])[0]
 
     def run_many(
         self, configs: Iterable[ExperimentConfig]
     ) -> List[ExperimentResult]:
-        """Run several cells, fanning *all* their trials over the pool.
+        """Run (or fetch from cache) several cells.
 
-        With ``jobs > 1`` every (cell, seed) pair is submitted up front
-        so the pool never drains between cells; results are assembled in
-        submission order, identical to running each cell serially.
+        With ``jobs > 1`` every multi-seed cell's seed chunks are
+        submitted up front, sharing the parent's datasets over shared
+        memory, so the pool never drains between cells; single-seed
+        cells run inline.  Results are assembled in seed order,
+        identical to running each cell serially.
         """
         configs = list(configs)
-        if self.jobs <= 1:
-            return [self.run(config) for config in configs]
-        if fast_seeds_enabled():
-            fresh = []
-            seen: set = set()
-            for config in configs:
-                key = self._key(config)
-                if key in self._cache or key in seen:
-                    continue
-                seen.add(key)
-                fresh.append(config)
-            manifest = self._dataset_manifest(fresh) if fresh else None
-            pending_cells: Dict[tuple, tuple] = {}
-            for config in fresh:
-                seeds = list(config.seeds())
-                if len(seeds) > 1:
-                    futures = self._submit_cell(config, seeds, manifest)
-                    pending_cells[self._key(config)] = (config, futures)
-            for key, (config, futures) in pending_cells.items():
-                self._cache[key] = self._assemble(
-                    config, self._collect_cell(config, futures)
-                )
-            # Single-seed cells (nothing to fan out) run inline.
-            return [self.run(config) for config in configs]
-        pending: Dict[tuple, tuple] = {}
+        fresh: Dict[tuple, ExperimentConfig] = {}
         for config in configs:
             key = self._key(config)
-            if key in self._cache or key in pending:
-                continue
-            futures: List[Future] = [
-                self._ensure_pool().submit(
-                    run_trial, config.workload, config.system, seed,
-                    config.trace, config.metrics,
+            if key not in self._cache:
+                fresh.setdefault(key, config)
+        if self.jobs > 1:
+            fanned = {
+                key: config for key, config in fresh.items()
+                if config.n_trials > 1
+            }
+            if fanned:
+                manifest = self._dataset_manifest(fanned.values())
+                pending = {
+                    key: self._submit_cell(config, manifest)
+                    for key, config in fanned.items()
+                }
+                for key, futures in pending.items():
+                    config = fanned[key]
+                    self._cache[key] = self._assemble(
+                        config, self._collect_cell(config, futures)
+                    )
+        for key, config in fresh.items():
+            if key not in self._cache:
+                self._cache[key] = self._assemble(
+                    config, self._run_inline(config)
                 )
-                for seed in config.seeds()
-            ]
-            pending[key] = (config, futures)
-        for key, (config, futures) in pending.items():
-            trials = []
-            for i, future in enumerate(futures):
-                trial = future.result()
-                trials.append(trial)
-                self._observe(config, trial)
-                self._note(f"{config.label} trial {i + 1}/{config.n_trials}")
-            self._cache[key] = self._assemble(config, trials)
         return [self._cache[self._key(config)] for config in configs]
 
     def run_grid(

@@ -25,36 +25,6 @@ from repro.errors import SimulationError
 from repro.mm.page import Page
 
 
-class StackedPTEBits:
-    """Seed-stacked PTE bits: one ``(n_seeds, n_pages)`` array per bit.
-
-    The seed-major cell runner (:mod:`repro.core.seedmajor`) allocates
-    one of these per cell; trial *s* of the cell then uses row *s* as
-    the authoritative storage behind its :class:`PTEFlatState` — scalar
-    ``Page`` property reads/writes and the vectorized access path all
-    land in the stacked arrays.
-    """
-
-    __slots__ = ("present", "accessed", "dirty")
-
-    def __init__(self, n_seeds: int, n_pages: int) -> None:
-        self.present = np.zeros((n_seeds, n_pages), dtype=bool)
-        self.accessed = np.zeros((n_seeds, n_pages), dtype=bool)
-        self.dirty = np.zeros((n_seeds, n_pages), dtype=bool)
-
-    @property
-    def n_seeds(self) -> int:
-        return int(self.present.shape[0])
-
-    @property
-    def n_pages(self) -> int:
-        return int(self.present.shape[1])
-
-    def row_views(self, row: int) -> tuple:
-        """The ``(present, accessed, dirty)`` 1-D views of seed *row*."""
-        return self.present[row], self.accessed[row], self.dirty[row]
-
-
 class PTEFlatState:
     """Dense, vectorizable mirror of every mapped PTE's state.
 
@@ -67,9 +37,6 @@ class PTEFlatState:
     ``run_starts``/``run_lens``/``run_base`` describe the maximal runs
     of contiguous VPNs, so vpn→index translation is one ``searchsorted``
     per access batch instead of one dict lookup per page.
-
-    In a seed-major cell the bit arrays are views of one row of the
-    cell's :class:`StackedPTEBits`.
     """
 
     __slots__ = (
@@ -219,22 +186,6 @@ class PageTable:
         self._pages: dict[int, Page] = {}
         self._flat: Optional[PTEFlatState] = None
         self._flat_stale = False
-        self._stack: Optional[StackedPTEBits] = None
-        self._stack_row = 0
-
-    def use_stacked_row(self, stack: StackedPTEBits, row: int) -> None:
-        """Back this table's flat PTE bits with row *row* of *stack*.
-
-        Must be called before the first :meth:`flat_view` (the seed-major
-        runner does so right after system construction); the next flat
-        build then adopts ``stack.*[row]`` as the authoritative bit
-        arrays instead of allocating fresh ones.
-        """
-        if not 0 <= row < stack.n_seeds:
-            raise SimulationError(f"stacked PTE row {row} out of range")
-        self._stack = stack
-        self._stack_row = row
-        self._flat_stale = self._flat is not None
 
     # ------------------------------------------------------------------
     # Construction
@@ -271,18 +222,9 @@ class PageTable:
         n = len(page_list)
         pages = np.empty(n, dtype=object)
         vpns = np.empty(n, dtype=np.int64)
-        stack = self._stack
-        if stack is not None:
-            if stack.n_pages != n:
-                raise SimulationError(
-                    f"stacked PTE bits sized for {stack.n_pages} pages, "
-                    f"table has {n}"
-                )
-            present, accessed, dirty = stack.row_views(self._stack_row)
-        else:
-            present = np.empty(n, dtype=bool)
-            accessed = np.empty(n, dtype=bool)
-            dirty = np.empty(n, dtype=bool)
+        present = np.empty(n, dtype=bool)
+        accessed = np.empty(n, dtype=bool)
+        dirty = np.empty(n, dtype=bool)
         for i, page in enumerate(page_list):
             pages[i] = page
             vpns[i] = page.vpn

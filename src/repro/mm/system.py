@@ -203,8 +203,7 @@ class MemorySystem:
 
         The hit stores go straight to the PTE bits: every policy reads
         them at scan time, as the kernel's policies read the hardware
-        accessed bit.  In a seed-major cell the bit arrays are views of
-        the cell's stacked rows, so the same stores land there.
+        accessed bit.
         """
         stats = self.stats
         quantum = self.compute_quantum_ns

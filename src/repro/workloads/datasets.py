@@ -21,18 +21,14 @@ with a four-level lookup:
    bit-identical to the historical in-place construction.
 
 Datasets are plain ``{name: numpy array}`` dicts (all read-only), which
-is what makes them npz- and shm-portable.
-
-Knob: ``REPRO_DATASET_MEMO`` (default on; ``0``/``legacy`` reverts to
-the pre-fast-lane behavior — a single-slot cache for workloads that
-historically had one, nothing for the rest, and no shm/disk lookups —
-kept as the honest baseline for ``benchmarks/bench_grid.py``).
+is what makes them npz- and shm-portable.  The lookup has no switch:
+every trial, serial or in a pool worker, goes through all four levels
+(``REPRO_TRACE_CACHE=off`` only takes the disk level out).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -78,9 +74,6 @@ class DatasetSpec:
 
     ``generation`` is the builder version: bump it when a builder's
     output changes so stale disk-cache entries invalidate themselves.
-    ``legacy_cached`` records whether the pre-fast-lane code kept a
-    process cache for this dataset (only PageRank did), which is what
-    ``REPRO_DATASET_MEMO=legacy`` faithfully reproduces.
     """
 
     name: str
@@ -88,7 +81,6 @@ class DatasetSpec:
     seed: int
     rng_path: Tuple[int, ...]
     generation: int = 1
-    legacy_cached: bool = False
 
     @property
     def key(self) -> str:
@@ -113,12 +105,6 @@ _MEMO: "OrderedDict[str, Tuple[DatasetSpec, Dataset]]" = OrderedDict()
 _SHM_MANIFEST: Dict[str, ShmDatasetHandle] = {}
 
 
-def memo_mode() -> str:
-    """``"full"`` (default) or ``"legacy"`` (pre-fast-lane behavior)."""
-    raw = os.environ.get("REPRO_DATASET_MEMO", "1").strip().lower()
-    return "legacy" if raw in ("0", "off", "legacy") else "full"
-
-
 def install_shm_manifest(
     manifest: Dict[str, ShmDatasetHandle]
 ) -> None:
@@ -141,23 +127,6 @@ def _freeze(arrays: Dataset) -> Dataset:
 def get_dataset(spec: DatasetSpec, build: Callable[[], Dataset]) -> Dataset:
     """The dataset for *spec*, via memo → shm → disk → *build*."""
     key = spec.key
-    if memo_mode() == "legacy":
-        # Pre-fast-lane semantics: PageRank kept one cached dataset per
-        # process (cleared on key change); everything else rebuilt per
-        # trial.  No shm attach, no disk cache.
-        if not spec.legacy_cached:
-            MEMO_STATS.misses += 1
-            return _freeze(build())
-        hit = _MEMO.get(key)
-        if hit is not None:
-            MEMO_STATS.hits += 1
-            return hit[1]
-        MEMO_STATS.misses += 1
-        arrays = _freeze(build())
-        _MEMO.clear()
-        _MEMO[key] = (spec, arrays)
-        return arrays
-
     hit = _MEMO.get(key)
     if hit is not None:
         MEMO_STATS.hits += 1

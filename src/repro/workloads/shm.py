@@ -15,9 +15,14 @@ Ownership model (the refcounted cleanup the pool shutdown relies on):
   ``ExperimentRunner.close()``) closes and unlinks them all, and an
   ``atexit`` hook covers interrupted runs;
 - workers only ever attach.  Attachments are cached per segment and
-  reference-counted; each is unregistered from the stdlib
-  ``resource_tracker`` right after attaching, because the tracker would
-  otherwise unlink the parent's segment when the *first* worker exits.
+  reference-counted.  Attaching registers the segment with the stdlib
+  ``resource_tracker``, which unlinks what is still registered when it
+  exits.  A worker that runs its own tracker unregisters each
+  attachment, or its tracker would unlink the parent's segment when
+  the worker exits.  A forked worker shares the parent's tracker
+  instead, where unregistering would drop the *parent's* registration
+  (the tracker then prints a ``KeyError`` traceback when the parent
+  unlinks), so it leaves the registration alone.
 
 Dataset arrays are immutable by contract (they model the paper's fixed
 input data), which is what makes sharing one mapping across processes
@@ -77,6 +82,9 @@ def export_dataset(
 #: cache both refcounts (one attach per segment per process) and keeps
 #: the mapping alive as long as any dataset view may be in use.
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]] = {}
+#: Whether this process's resource tracker was started by an attach here
+#: (rather than inherited from, or started by exporting in, the parent).
+_OWN_TRACKER = False
 
 
 def attach_dataset(handle: ShmDatasetHandle) -> Dict[str, np.ndarray]:
@@ -85,20 +93,20 @@ def attach_dataset(handle: ShmDatasetHandle) -> Dict[str, np.ndarray]:
     Raises ``FileNotFoundError`` if the parent already unlinked the
     segment — callers treat that as a miss and rebuild locally.
     """
+    global _OWN_TRACKER
     cached = _ATTACHED.get(handle.segment)
     if cached is not None:
         return cached[1]
-    segment = shared_memory.SharedMemory(name=handle.segment)
-    # The stdlib resource tracker registers every attach and unlinks the
-    # segment when the first attaching process exits — which would yank
-    # the dataset out from under the parent and its other workers.
-    # Attachments don't own the segment; the parent does.
-    try:
-        from multiprocessing import resource_tracker
+    from multiprocessing import resource_tracker
 
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_fd", None) is None:
+        # No tracker yet: this attach starts one of our own.
+        _OWN_TRACKER = True
+    segment = shared_memory.SharedMemory(name=handle.segment)
+    if _OWN_TRACKER:
+        # Attachments don't own the segment; the parent does.
         resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
     views: Dict[str, np.ndarray] = {}
     for name, dtype, shape, off in handle.layout:
         view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=off)

@@ -27,13 +27,15 @@ simulated behaviour::
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Any, Dict, List
 
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
-from repro.core.seedmajor import plan_cell, run_cell_trials
+from repro.core.experiment import (
+    ExperimentRunner,
+    run_cell_trials,
+    run_trial,
+)
 from repro.workloads.pagerank import PageRankParams, PageRankWorkload
 from tests.core import golden
 
@@ -93,7 +95,6 @@ def capture() -> Dict[str, Any]:
     Raises ``AssertionError`` naming the first cell whose lanes
     disagree.
     """
-    assert plan_cell("pagerank", SEEDS) is not None, "PageRank not stacked"
     cells = {}
     for workload, policy in [("pagerank", p) for p in POLICIES] + [
         ("tpch", FALLBACK_POLICY)
@@ -104,11 +105,6 @@ def capture() -> Dict[str, Any]:
 
     parallel = _run_many(jobs=2)
     assert parallel == _run_many(jobs=1), "run_many jobs=2 != serial"
-    os.environ["REPRO_FAST_SEEDS"] = "0"
-    try:
-        assert parallel == _run_many(jobs=2), "stacked != per-seed run_many"
-    finally:
-        del os.environ["REPRO_FAST_SEEDS"]
     run_many = {
         cell_key("pagerank", policy): summaries(trials)
         for policy, trials in zip(RUN_MANY_POLICIES, parallel)

@@ -1,28 +1,32 @@
-"""Seed-major fast lane: bit-identity, fallback, layout prepass, runner.
+"""The cell runner: pinned multi-seed cells, chunking, parallel runner.
 
-The contract under test is the strongest the repo makes: with
-``REPRO_FAST_SEEDS`` on, a cell's seed-stacked execution produces
-*bit-identical* ``TrialResult``s to N independent scalar runs — across
-every policy family — and the parallel runner (seed-chunk tasks plus
-shared-memory datasets) reproduces the serial results exactly, with
-sharing on or off.
+Every cell runs its seeds one ``run_trial`` at a time.  The trials of
+the multi-seed cells below are pinned by
+``tests/data/multiseed_golden.json``, recorded while a seed-stacked
+PageRank lane still shipped and agreed with the per-seed lane on every
+trial (:mod:`tests.core.multiseed_golden`); the parallel runner
+(seed-chunk tasks plus shared-memory datasets) must reproduce the
+serial results exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro.workloads as workloads_pkg
+from repro.core import seedmajor
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
-from repro.core.seedmajor import (
-    SeedMajorCell,
+from repro.core.experiment import (
+    DATASET_SEED,
+    ExperimentRunner,
+    build_system,
     chunk_seeds,
-    plan_cell,
     run_cell_trials,
+    run_trial,
 )
+from repro.sim.engine import Engine
 from repro.sim.rng import RngTree
+from repro.workloads import datasets, make_workload
 from tests.core import golden, multiseed_golden as pinned
 
 SEEDS = pinned.SEEDS
@@ -40,79 +44,61 @@ def config(policy="clock", ratio=0.5):
     return SystemConfig(policy=policy, swap="zram", capacity_ratio=ratio)
 
 
-def scalar_reference(workload, cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_SEEDS", "0")
-    trials = [run_trial(workload, cfg, seed) for seed in SEEDS]
-    monkeypatch.delenv("REPRO_FAST_SEEDS")
-    return trials
+def pinned_cell(workload, policy):
+    return GOLDEN["cells"][pinned.cell_key(workload, policy)]
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "policy", ["clock", "mglru", "fifo", "random", "opt"]
+    @pytest.mark.parametrize("policy", pinned.POLICIES)
+    def test_stacked_equals_scalar_per_policy(self, policy):
+        """A PageRank cell under reclaim pressure (ratio 0.5, so the
+        policy actually evicts) reproduces the digests both cell lanes
+        agreed on."""
+        trials = run_cell_trials("pagerank", config(policy), SEEDS)
+        assert pinned.summaries(trials) == pinned_cell("pagerank", policy)
+
+    def test_fallback_workload_matches_scalar(self):
+        """TPC-H, whose trials draw per-seed probes, never had a stacked
+        lane; its cell is pinned the same way."""
+        trials = run_cell_trials("tpch", config("mglru"), SEEDS)
+        assert pinned.summaries(trials) == pinned_cell("tpch", "mglru")
+
+
+def vma_bases(seed):
+    """The VMA start VPNs of a tiny PageRank trial with *seed*."""
+    workload = make_workload("pagerank")
+    footprint = workload.prepare(
+        RngTree(DATASET_SEED).subtree("dataset", "pagerank")
     )
-    def test_stacked_equals_scalar_per_policy(self, policy, monkeypatch):
-        """Seed-stacked execution vs per-seed scalar, under reclaim
-        pressure (ratio 0.5) so the policy actually evicts."""
-        cfg = config(policy)
-        reference = scalar_reference("pagerank", cfg, monkeypatch)
-        fast = run_cell_trials("pagerank", cfg, SEEDS)
-        assert fast == reference
-        assert pinned.summaries(fast) == GOLDEN["cells"][
-            pinned.cell_key("pagerank", policy)
-        ]
-
-    def test_fallback_workload_matches_scalar(self, monkeypatch):
-        """TPC-H has per-trial dynamic draws, declares no plan, and must
-        fall back to the scalar path inside run_cell_trials."""
-        cfg = config("mglru")
-        assert plan_cell("tpch", SEEDS) is None
-        reference = scalar_reference("tpch", cfg, monkeypatch)
-        trials = run_cell_trials("tpch", cfg, SEEDS)
-        assert trials == reference
-        assert pinned.summaries(trials) == GOLDEN["cells"]["tpch-mglru"]
-
-    def test_knob_disables_stacking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_SEEDS", "0")
-        assert plan_cell("pagerank", SEEDS) is None
-        monkeypatch.setenv("REPRO_FAST_SEEDS", "1")
-        assert plan_cell("pagerank", SEEDS) is not None
-
-    def test_single_seed_cell_not_stacked(self):
-        assert plan_cell("pagerank", [41]) is None
+    system = build_system(Engine(), RngTree(seed), config(), footprint)
+    workload.setup(system)
+    bases = [vma.start_vpn for vma in system.address_space.vmas]
+    system.address_space.page_table.release_flat()
+    return tuple(bases)
 
 
 class TestLayoutPrepass:
     def test_replayed_bases_match_real_vmas(self):
-        """The ASLR layout replay predicts every trial's VMA bases; the
-        in-trial verify_layout call would raise on any divergence, so a
-        clean cell run is itself the assertion.  Double-check directly
-        against a real system here."""
-        cell = plan_cell("pagerank", SEEDS)
-        assert isinstance(cell, SeedMajorCell)
-        trial = run_trial(
-            "pagerank", config(), SEEDS[1], _seed_cell=cell, _seed_row=1
-        )
-        assert trial.seed == SEEDS[1]
-        # Bases are per-seed: with ASLR on, at least one area should
-        # land at different addresses across seeds.
-        bases = np.array(
-            [[cell._bases[name][s] for name, _ in cell.plan.areas]
-             for s in range(cell.n_seeds)]
-        )
-        assert len(np.unique(bases, axis=0)) > 1
+        """A trial run on its own equals its row of the pinned cell, and
+        ASLR places at least one area differently across seeds."""
+        trial = run_trial("pagerank", config(), SEEDS[1])
+        assert golden.summary(trial) == pinned_cell("pagerank", "clock")[1]
+        assert len({vma_bases(seed) for seed in SEEDS}) > 1
 
     def test_stacked_rows_match_scalar_traces(self):
-        """The stacked (n_seeds, n) trace rows equal the arrays the
-        scalar path builds one seed at a time."""
-        name = "pagerank"
-        cell = plan_cell(name, SEEDS)
+        """Every seed's trial run on its own equals its row of the
+        pinned cell: a trial does not depend on the cell around it."""
         for row, seed in enumerate(SEEDS):
-            scalar = run_trial(name, config(), seed)
-            stacked = run_trial(
-                name, config(), seed, _seed_cell=cell, _seed_row=row
-            )
-            assert scalar == stacked
+            trial = run_trial("pagerank", config("mglru"), seed)
+            assert golden.summary(trial) == pinned_cell("pagerank", "mglru")[row]
+
+    def test_plan_cell_only_warms_the_dataset(self):
+        """``plan_cell`` plans nothing; it leaves the dataset memoized."""
+        datasets.clear_process_state()
+        assert seedmajor.plan_cell("pagerank", SEEDS) is None
+        assert [spec.name for spec, _ in datasets.memo_items()] == [
+            "pagerank"
+        ]
 
 
 class TestChunking:
@@ -142,6 +128,10 @@ class TestRunnerParallel:
         with ExperimentRunner(jobs=2) as runner:
             parallel = runner.run(self._config())
         assert serial.trials == parallel.trials
+        assert (
+            pinned.summaries(parallel.trials)
+            == GOLDEN["run_many"]["pagerank-mglru"]
+        )
 
     def test_run_many_parallel_matches_serial(self):
         configs = [self._config("clock"), self._config("mglru")]
@@ -159,18 +149,18 @@ class TestRunnerParallel:
     def test_close_releases_pool_and_segments(self):
         runner = ExperimentRunner(jobs=2)
         runner.run(self._config())
-        pool = runner._pool
+        workers = list(runner._pool._processes.values())
         server = runner._shm_server
         runner.close()
         assert runner._pool is None
         assert runner._shm_server is None
-        if pool is not None:
-            # shutdown(wait=True) must have joined the workers.
-            assert pool._shutdown_thread is None or True
-        if server is not None:
-            assert server.handles == {}
-        # close() is idempotent and the runner still works serially.
-        runner.close()
+        # shutdown(wait=True) must have joined every worker.
+        assert workers
+        assert all(
+            not w.is_alive() and w.exitcode is not None for w in workers
+        )
+        assert server.handles == {}
+        runner.close()  # idempotent
 
     def test_progress_notes_once_per_trial_parallel(self):
         notes = []

@@ -21,10 +21,9 @@ import pytest
 
 import repro.workloads as workloads_pkg
 from repro.core.config import SystemConfig
-from repro.core.experiment import run_trial
+from repro.core.experiment import run_cell_trials, run_trial
 from repro import observe
 from repro._units import MS
-from repro.core.seedmajor import run_cell_trials
 from repro.fleet.config import FleetConfig, TenantShape
 from repro.fleet.trial import run_fleet_trial, run_memcg_trial
 from repro.metrics import MetricsConfig
@@ -70,6 +69,7 @@ def test_run_trial_frees_its_pages(policy):
 
 
 def test_seed_major_cell_frees_its_pages():
+    """A cell's trials, run as one pool task, free their pages too."""
     before = live_pages()
     trials = run_cell_trials("pagerank", config("mglru"), [5, 6])
     assert len(trials) == 2

@@ -79,4 +79,5 @@ class TestRandom:
             return system.stats.major_faults
 
         assert faults(3) == faults(3)
-        assert faults(3) != faults(4) or True  # different seeds may differ
+        # The victim draws depend on the seed, so the fault count does.
+        assert len({faults(seed) for seed in range(8)}) > 1
