@@ -1,10 +1,10 @@
-"""Cell planning hook kept for the repo benchmark.
+"""Cell set-up hook called by the repo benchmark.
 
 Every cell runs its seeds one ``run_trial`` at a time
-(:func:`repro.core.experiment.run_cell_trials`).  :func:`plan_cell` is
-what remains of the seed-stacked PageRank lane that used to plan a cell
-up front: ``perfbench`` still calls it as part of a cell's setup, so it
-only warms the cell's dataset and plans nothing.
+(:func:`repro.core.experiment.run_cell_trials`), so there is nothing to
+plan.  ``perfbench`` calls :func:`plan_cell` as part of a cell's set-up
+and wraps it as a ``core`` frame, so it stays; it only warms the cell's
+dataset.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Tuple
 
 import numpy as np
@@ -82,8 +82,9 @@ def export_dataset(
 #: cache both refcounts (one attach per segment per process) and keeps
 #: the mapping alive as long as any dataset view may be in use.
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]] = {}
-#: Whether this process's resource tracker was started by an attach here
-#: (rather than inherited from, or started by exporting in, the parent).
+#: Whether this process's resource tracker was started by an attach (in
+#: this process or a forked ancestor) rather than by the exporter.  It
+#: is process-wide because the tracker is; a forked child inherits both.
 _OWN_TRACKER = False
 
 
@@ -97,13 +98,12 @@ def attach_dataset(handle: ShmDatasetHandle) -> Dict[str, np.ndarray]:
     cached = _ATTACHED.get(handle.segment)
     if cached is not None:
         return cached[1]
-    from multiprocessing import resource_tracker
-
-    tracker = resource_tracker._resource_tracker
-    if getattr(tracker, "_fd", None) is None:
-        # No tracker yet: this attach starts one of our own.
-        _OWN_TRACKER = True
+    # With no tracker running yet, this attach starts one of our own.
+    starts_tracker = getattr(
+        resource_tracker._resource_tracker, "_fd", None
+    ) is None
     segment = shared_memory.SharedMemory(name=handle.segment)
+    _OWN_TRACKER = _OWN_TRACKER or starts_tracker
     if _OWN_TRACKER:
         # Attachments don't own the segment; the parent does.
         resource_tracker.unregister(segment._name, "shared_memory")

@@ -15,7 +15,7 @@ import pytest
 
 import repro.workloads as workloads_pkg
 from repro.core import seedmajor
-from repro.core.config import ExperimentConfig, SystemConfig
+from repro.core.config import ExperimentConfig
 from repro.core.experiment import (
     DATASET_SEED,
     ExperimentRunner,
@@ -40,8 +40,7 @@ def tiny_workloads(monkeypatch):
     monkeypatch.setitem(factories, "tpch", golden.tiny_tpch)
 
 
-def config(policy="clock", ratio=0.5):
-    return SystemConfig(policy=policy, swap="zram", capacity_ratio=ratio)
+config = pinned.system
 
 
 def pinned_cell(workload, policy):
@@ -70,7 +69,7 @@ def vma_bases(seed):
     footprint = workload.prepare(
         RngTree(DATASET_SEED).subtree("dataset", "pagerank")
     )
-    system = build_system(Engine(), RngTree(seed), config(), footprint)
+    system = build_system(Engine(), RngTree(seed), config("clock"), footprint)
     workload.setup(system)
     bases = [vma.start_vpn for vma in system.address_space.vmas]
     system.address_space.page_table.release_flat()
@@ -81,7 +80,7 @@ class TestLayoutPrepass:
     def test_replayed_bases_match_real_vmas(self):
         """A trial run on its own equals its row of the pinned cell, and
         ASLR places at least one area differently across seeds."""
-        trial = run_trial("pagerank", config(), SEEDS[1])
+        trial = run_trial("pagerank", config("clock"), SEEDS[1])
         assert golden.summary(trial) == pinned_cell("pagerank", "clock")[1]
         assert len({vma_bases(seed) for seed in SEEDS}) > 1
 

@@ -1,9 +1,9 @@
 """A parallel grid that shares datasets over shared memory exits clean.
 
 Pool workers forked from the runner share its ``resource_tracker``.  A
-worker that unregistered its attachments there dropped the parent's
-own registration, and the tracker printed a ``KeyError: '/psm_…'``
-traceback for every such segment when the parent unlinked it.  The run
+worker that unregisters its attachments there drops the parent's own
+registration, and the tracker prints a ``KeyError: '/psm_…'``
+traceback for every such segment when the parent unlinks it.  The run
 below forks its workers before the PageRank dataset exists, so they
 must attach that dataset's segment, and checks that nothing reaches
 stderr.
