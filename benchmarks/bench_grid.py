@@ -7,11 +7,12 @@ end through ``ExperimentRunner.run_many`` in three fresh subprocesses:
 - ``baseline``: a grid runner built here, without the runner's dataset
   sharing: a plain ``ProcessPoolExecutor`` that runs ``run_trial`` once
   per (cell, seed), with ``REPRO_TRACE_CACHE=off``.  Each worker builds
-  every dataset it needs once, in its own process memo; nothing is
-  shared over shared memory or the disk cache.
+  every dataset it needs once, in its own process memo; nothing comes
+  from the parent or the disk cache.
 - ``cold``: ``ExperimentRunner.run_many`` against an empty on-disk trace
-  cache — seed-chunk tasks, shared-memory datasets, cache misses that
-  populate the cache.
+  cache — the parent builds each dataset (a cache miss that stores it)
+  before it forks the workers, which inherit its memo and run
+  seed-chunk tasks.
 - ``warm``: the same command against the now-populated cache — the
   steady state of iterating on a grid.
 

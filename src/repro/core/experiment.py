@@ -28,7 +28,7 @@ from repro.spans.recorder import SpanRecorder
 from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.trace.config import TraceConfig
 from repro.trace.session import TraceSession
-from repro.workloads import datasets, make_workload
+from repro.workloads import make_workload
 from repro.workloads.base import chunk_bounds
 
 
@@ -197,25 +197,35 @@ def run_trial(
     )
 
 
+def warm_dataset(workload_name: str) -> None:
+    """Memoize *workload_name*'s dataset in this process.
+
+    The runner calls it before a fan-out, so pool workers forked
+    afterwards inherit the memo.  A worker forked earlier misses it and
+    loads the dataset from the disk cache (or builds it); the lookup is
+    content-addressed, so its bytes are the same either way.
+    """
+    make_workload(workload_name).prepare(
+        RngTree(DATASET_SEED).subtree("dataset", workload_name)
+    )
+
+
 def run_cell_trials(
     workload_name: str,
     system_config: SystemConfig,
     seeds: Sequence[int],
     trace: Optional[TraceConfig] = None,
     metrics: Optional[MetricsConfig] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[TrialResult]:
     """Run the trials of one cell (or one seed chunk of it), in seed
     order: ``[run_trial(...) for seed in seeds]``.
 
-    This is also the pool task under ``REPRO_JOBS``: it first installs
-    the parent's shared-memory dataset manifest (if any), so the
-    trials attach the parent's datasets instead of rebuilding them.
+    This is also the pool task under ``REPRO_JOBS``.  Its trials look
+    their datasets up like any other (memo, disk cache, build), so a
+    worker finds what the parent memoized before forking it.
     ``progress(row, seed)`` is called before each trial.
     """
-    if shm_manifest:
-        datasets.install_shm_manifest(shm_manifest)
     trials = []
     for row, seed in enumerate(seeds):
         if progress is not None:
@@ -281,10 +291,6 @@ class ExperimentRunner:
         self.jobs = _jobs_from_env() if jobs is None else max(1, int(jobs))
         self._pool: Optional[ProcessPoolExecutor] = None
         self.telemetry = telemetry
-        #: Shared-memory dataset server (parent side); created lazily on
-        #: the first parallel dispatch, torn down by close().
-        self._shm_server: Optional[Any] = None
-        self._shm_prepared: set = set()
 
     def _note(self, message: str) -> None:
         if self._progress is not None:
@@ -313,19 +319,14 @@ class ExperimentRunner:
         return self._pool
 
     def close(self) -> None:
-        """Release workers and shared-memory segments (idempotent).
+        """Release the worker pool (idempotent).
 
         The pool shutdown waits for running trials and *cancels* queued
-        ones, so an interrupted grid doesn't leak worker processes; the
-        shm server close unlinks every exported dataset segment.
+        ones, so an interrupted grid doesn't leak worker processes.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._shm_server is not None:
-            self._shm_server.shutdown()
-            self._shm_server = None
-            self._shm_prepared.clear()
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -338,33 +339,6 @@ class ExperimentRunner:
             self.close()
         except Exception:
             pass
-
-    def _dataset_manifest(
-        self, configs: Iterable[ExperimentConfig]
-    ) -> Optional[Dict[str, Any]]:
-        """Build + export the datasets of *configs* over shared memory.
-
-        Returns the manifest (content key → segment handle) shipped with
-        every worker task.  The parent builds each distinct workload's
-        dataset once (hitting its own memo/disk cache), exports every
-        memoized dataset, and reuses segments across calls.
-        """
-        from repro.workloads import shm
-
-        for name in {config.workload for config in configs}:
-            if name in self._shm_prepared:
-                continue
-            workload = make_workload(name)
-            workload.prepare(
-                RngTree(DATASET_SEED).subtree("dataset", name)
-            )
-            self._shm_prepared.add(name)
-        if self._shm_server is None:
-            self._shm_server = shm.ShmServer()
-        for spec, arrays in datasets.memo_items():
-            self._shm_server.export(spec.key, arrays)
-        manifest = self._shm_server.handles
-        return manifest or None
 
     def _assemble(
         self,
@@ -381,15 +355,13 @@ class ExperimentRunner:
             result.add(trial)
         return result
 
-    def _submit_cell(
-        self, config: ExperimentConfig, manifest: Optional[Dict[str, Any]]
-    ) -> List[Future]:
+    def _submit_cell(self, config: ExperimentConfig) -> List[Future]:
         """Fan one cell's seeds over the pool as seed-chunk tasks."""
         pool = self._ensure_pool()
         return [
             pool.submit(
                 run_cell_trials, config.workload, config.system, chunk,
-                config.trace, config.metrics, manifest,
+                config.trace, config.metrics,
             )
             for chunk in chunk_seeds(config.seeds(), self.jobs)
         ]
@@ -432,8 +404,8 @@ class ExperimentRunner:
         """Run (or fetch from cache) several cells.
 
         With ``jobs > 1`` every multi-seed cell's seed chunks are
-        submitted up front, sharing the parent's datasets over shared
-        memory, so the pool never drains between cells; single-seed
+        submitted up front, after the parent has memoized their
+        datasets, so the pool never drains between cells; single-seed
         cells run inline.  Results are assembled in seed order,
         identical to running each cell serially.
         """
@@ -449,9 +421,10 @@ class ExperimentRunner:
                 if config.n_trials > 1
             }
             if fanned:
-                manifest = self._dataset_manifest(fanned.values())
+                for name in {config.workload for config in fanned.values()}:
+                    warm_dataset(name)
                 pending = {
-                    key: self._submit_cell(config, manifest)
+                    key: self._submit_cell(config)
                     for key, config in fanned.items()
                 }
                 for key, futures in pending.items():

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.sim.rng import RngTree
-from repro.workloads import make_workload
-
 
 def plan_cell(workload_name: str, seeds: Sequence[int]) -> None:
     """Build (or fetch) *workload_name*'s dataset; returns ``None``."""
-    from repro.core.experiment import DATASET_SEED
+    from repro.core.experiment import warm_dataset
 
-    make_workload(workload_name).prepare(
-        RngTree(DATASET_SEED).subtree("dataset", workload_name)
-    )
+    warm_dataset(workload_name)

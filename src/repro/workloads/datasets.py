@@ -6,23 +6,21 @@ power-law graph and its page-level gather traces, TPC-H's hash-layout
 permutation, the KV store's item placement — are pure functions of
 ``(workload class, params, dataset seed, RNG path, generator version)``.
 This module gives those functions one front door, :func:`get_dataset`,
-with a four-level lookup:
+with a three-level lookup:
 
 1. **process memo** — an LRU dict of recently used datasets, so
-   repeated cells in one process (or one pool worker) never regenerate
-   identical inputs;
-2. **shared memory** — segments exported by the parent
-   :class:`~repro.core.experiment.ExperimentRunner` and attached
-   read-only via :mod:`repro.workloads.shm` (manifest installed by
-   :func:`install_shm_manifest` in each worker task);
-3. **disk cache** — ``~/.cache/repro-traces`` npz files via
+   repeated cells in one process never regenerate identical inputs.
+   Pool workers forked by :class:`~repro.core.experiment.
+   ExperimentRunner` inherit the parent's memo, which the runner warms
+   before it fans a cell out;
+2. **disk cache** — ``~/.cache/repro-traces`` npz files via
    :mod:`repro.core.tracecache`, shared across processes and runs;
-4. **build** — the workload's builder function, whose RNG draws are
+3. **build** — the workload's builder function, whose RNG draws are
    bit-identical to the historical in-place construction.
 
 Datasets are plain ``{name: numpy array}`` dicts (all read-only), which
-is what makes them npz- and shm-portable.  The lookup has no switch:
-every trial, serial or in a pool worker, goes through all four levels
+is what makes them npz-portable.  The lookup has no switch: every
+trial, serial or in a pool worker, goes through all three levels
 (``REPRO_TRACE_CACHE=off`` only takes the disk level out).
 """
 
@@ -31,12 +29,11 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.core import tracecache
-from repro.workloads.shm import ShmDatasetHandle, attach_dataset
 
 #: Process-memo capacity (the paper's five workloads fit with room).
 #: Fleet tenant shapes share entries too — distinct shapes per fleet are
@@ -49,7 +46,7 @@ class MemoStats:
     """Process-global memo counters, mirroring ``tracecache.STATS``.
 
     ``hits`` counts :func:`get_dataset` calls served from the process
-    memo; ``misses`` counts calls that fell through to shm/disk/build.
+    memo; ``misses`` counts calls that fell through to disk/build.
     The metrics plane imports per-trial deltas of these so cache
     behavior shows up in ``report`` output, not just bench assertions.
     """
@@ -99,62 +96,31 @@ class DatasetSpec:
 
 Dataset = Dict[str, np.ndarray]
 
-#: Process memo: content key → (spec, arrays), LRU order.
-_MEMO: "OrderedDict[str, Tuple[DatasetSpec, Dataset]]" = OrderedDict()
-#: Shared-memory manifest: content key → segment handle (worker side).
-_SHM_MANIFEST: Dict[str, ShmDatasetHandle] = {}
-
-
-def install_shm_manifest(
-    manifest: Dict[str, ShmDatasetHandle]
-) -> None:
-    """Register parent-exported segments (called at worker task start)."""
-    _SHM_MANIFEST.update(manifest)
+#: Process memo: content key → arrays, LRU order.
+_MEMO: "OrderedDict[str, Dataset]" = OrderedDict()
 
 
 def clear_process_state() -> None:
-    """Drop the memo and manifest (test isolation helper)."""
+    """Drop the memo (test isolation helper)."""
     _MEMO.clear()
-    _SHM_MANIFEST.clear()
-
-
-def _freeze(arrays: Dataset) -> Dataset:
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return arrays
 
 
 def get_dataset(spec: DatasetSpec, build: Callable[[], Dataset]) -> Dataset:
-    """The dataset for *spec*, via memo → shm → disk → *build*."""
+    """The dataset for *spec*, via memo → disk → *build*."""
     key = spec.key
     hit = _MEMO.get(key)
     if hit is not None:
         MEMO_STATS.hits += 1
         _MEMO.move_to_end(key)
-        return hit[1]
+        return hit
     MEMO_STATS.misses += 1
-    arrays = None
-    handle = _SHM_MANIFEST.get(key)
-    if handle is not None:
-        try:
-            arrays = attach_dataset(handle)
-        except (FileNotFoundError, ValueError):
-            arrays = None
-    if arrays is None:
-        arrays = tracecache.load(key, spec.name)
+    arrays = tracecache.load(key, spec.name)
     if arrays is None:
         arrays = build()
-        _freeze(arrays)
         tracecache.store(key, spec.name, arrays)
-    else:
-        _freeze(arrays)
-    _MEMO[key] = (spec, arrays)
-    _MEMO.move_to_end(key)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    _MEMO[key] = arrays
     while len(_MEMO) > MEMO_CAP:
         _MEMO.popitem(last=False)
     return arrays
-
-
-def memo_items() -> List[Tuple[DatasetSpec, Dataset]]:
-    """Current memo contents (the runner exports these over shm)."""
-    return list(_MEMO.values())

@@ -1,4 +1,4 @@
-"""Dataset layer: process memo, disk-cache path, shared-memory transport."""
+"""Dataset layer: process memo and disk-cache path."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import tracecache
-from repro.workloads import datasets, shm
+from repro.workloads import datasets
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +53,14 @@ class TestMemo:
         keys = [spec(params=f"p{i}") for i in range(datasets.MEMO_CAP + 1)]
         for s in keys:
             datasets.get_dataset(s, build)
-        assert len(datasets.memo_items()) == datasets.MEMO_CAP
+        datasets.MEMO_STATS.reset()
+        for s in keys[1:]:
+            datasets.get_dataset(s, build)
+        assert datasets.MEMO_STATS.snapshot() == {
+            "hits": datasets.MEMO_CAP, "misses": 0
+        }
+        datasets.get_dataset(keys[0], build)
+        assert datasets.MEMO_STATS.misses == 1
 
 
 class TestDiskPath:
@@ -68,61 +75,3 @@ class TestDiskPath:
         assert tracecache.STATS.hits == 1
         np.testing.assert_array_equal(first["data"], second["data"])
 
-
-class TestSharedMemory:
-    def test_export_attach_roundtrip(self):
-        arrays = {
-            "a": np.arange(100, dtype=np.int64),
-            "b": np.linspace(0.0, 1.0, 33),
-            "c": np.array([True, False]),
-        }
-        server = shm.ShmServer()
-        try:
-            handle = server.export("k1", arrays)
-            assert server.export("k1", arrays) is handle  # idempotent
-            views = shm.attach_dataset(handle)
-            assert set(views) == set(arrays)
-            for name in arrays:
-                np.testing.assert_array_equal(views[name], arrays[name])
-                assert not views[name].flags.writeable
-        finally:
-            server.shutdown()
-
-    def test_shutdown_unlinks_segments(self):
-        server = shm.ShmServer()
-        handle = server.export(
-            "k2", {"x": np.arange(8, dtype=np.int64)}
-        )
-        server.shutdown()
-        assert server.handles == {}
-        # Fresh attach of an unlinked segment must fail...
-        shm._ATTACHED.pop(handle.segment, None)
-        with pytest.raises(FileNotFoundError):
-            shm.attach_dataset(handle)
-
-    def test_get_dataset_prefers_manifest(self):
-        build = CountingBuilder()
-        arrays = build()
-        server = shm.ShmServer()
-        try:
-            s = spec(params="shm-test")
-            handle = server.export(s.key, arrays)
-            datasets.install_shm_manifest({s.key: handle})
-            out = datasets.get_dataset(
-                s, lambda: pytest.fail("should not rebuild")
-            )
-            np.testing.assert_array_equal(out["data"], arrays["data"])
-        finally:
-            server.shutdown()
-
-    def test_manifest_miss_falls_back_to_build(self):
-        build = CountingBuilder()
-        server = shm.ShmServer()
-        s = spec(params="gone")
-        handle = server.export(s.key, build())
-        server.shutdown()  # segment unlinked before the worker attaches
-        shm._ATTACHED.pop(handle.segment, None)
-        datasets.install_shm_manifest({s.key: handle})
-        out = datasets.get_dataset(s, build)
-        assert build.calls == 2
-        np.testing.assert_array_equal(out["data"], np.arange(16))
